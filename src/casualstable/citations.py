@@ -21,7 +21,8 @@ import numpy as np
 from scipy import stats as sps
 
 from .errors import InsufficientDataError, ParameterError
-from .samplers import Seed, make_rng, sample_sibuya, sibuya_rvs
+from .families import AuthorCitations, FieldCitations, Sibuya
+from .samplers import Seed, ex1_rvs, geometric_sums, make_rng, sample_sibuya, sibuya_rvs
 
 __all__ = [
     "FieldSim",
@@ -70,20 +71,10 @@ def top_share(samples: np.ndarray, fraction: float = DEFAULT_TOP_FRACTION) -> fl
 
 @dataclass(frozen=True)
 class FieldSim:
-    """Configuration of one simulated field."""
+    """Configuration of one simulated field: its law and its random stream."""
 
-    lam: float
-    p: float
-    q: float
+    family: FieldCitations
     seed: Seed
-
-    def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ParameterError("lam must be positive")
-        if not 0 < self.p <= 1:
-            raise ParameterError("p must lie in (0, 1]")
-        if not 0 < self.q <= 1:
-            raise ParameterError("q must lie in (0, 1]")
 
 
 @dataclass
@@ -110,31 +101,23 @@ class RankingReport:
     mean_median_ratios: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def simulate_author(p: float, q: float, rng: np.random.Generator) -> int:
+def simulate_author(family: AuthorCitations, rng: np.random.Generator) -> int:
     """Citations of one author: Sibuya(p) papers, Geometric(q) each.
 
     The sum of S ~ Sibuya(p) independent Geometric(q) draws has exactly
     the composed p.g.f. 1 - (1 - qz/(1-(1-q)z))^p.
     """
-    papers = sample_sibuya(p, rng)
-    if q == 1.0:
-        return papers
-    if papers <= 4096:
+    papers = sample_sibuya(Sibuya(family.p), rng)
+    if family.q < 1.0 and papers <= 4096:
         # one geometric draw per paper; covers ~99% of authors
-        return int(rng.geometric(q, papers).sum())
-    # tail authors: sum of k geometrics = k + NegativeBinomial(k, q),
-    # which keeps a 10^9-paper author from allocating 10^9 draws
-    return int(papers + rng.negative_binomial(papers, q))
+        return int(rng.geometric(family.q, papers).sum())
+    return int(geometric_sums(papers, family.q, rng))
 
 
-def author_rvs(p: float, q: float, rng: np.random.Generator, size: int) -> np.ndarray:
+def author_rvs(family: AuthorCitations, rng: np.random.Generator, size: int) -> np.ndarray:
     """Array of per-author citation counts (the bulk form of
     ``simulate_author``; same law, inversion-based Sibuya draws)."""
-    papers = sibuya_rvs(p, rng, size)
-    if q == 1.0:
-        return papers
-    # sum of k Geometric(q) draws = k + NegativeBinomial(k, q)
-    return papers + rng.negative_binomial(papers, q)
+    return geometric_sums(sibuya_rvs(Sibuya(family.p), rng, size), family.q, rng)
 
 
 def _summarize(citations: np.ndarray) -> SimSummary:
@@ -160,22 +143,20 @@ def _summarize(citations: np.ndarray) -> SimSummary:
 def simulate_field(cfg: FieldSim) -> SimSummary:
     """Simulate one field: Poisson(lam) authors, aggregate statistics."""
     rng = make_rng(cfg.seed)
-    n = int(rng.poisson(cfg.lam))
-    citations = author_rvs(cfg.p, cfg.q, rng, n)
+    n = int(rng.poisson(cfg.family.lam))
+    citations = author_rvs(cfg.family.author_law(), rng, n)
     return _summarize(citations)
 
 
 def field_totals(cfg: FieldSim, n_fields: int) -> np.ndarray:
-    """Array of independent field totals (bulk form of ``simulate_field``)."""
+    """Array of independent field totals (bulk form of ``simulate_field``).
+
+    The field law is ``Example1`` with kappa = 1 - q, m = 1, so the totals
+    are drawn by its compound-Poisson sampler.
+    """
     if n_fields < 1:
         raise ParameterError("n_fields must be >= 1")
-    rng = make_rng(cfg.seed)
-    counts = rng.poisson(cfg.lam, n_fields)
-    citations = author_rvs(cfg.p, cfg.q, rng, int(counts.sum()))
-    boundaries = np.zeros(n_fields + 1, dtype=np.int64)
-    np.cumsum(counts, out=boundaries[1:])
-    prefix = np.concatenate([[0], np.cumsum(citations)])
-    return prefix[boundaries[1:]] - prefix[boundaries[:-1]]
+    return ex1_rvs(cfg.family.as_example1(), make_rng(cfg.seed), n_fields)
 
 
 def tail_exponent(samples, top_fraction: float = DEFAULT_TOP_FRACTION) -> float:
@@ -222,15 +203,16 @@ def ranking_instability(cfg: FieldSim, n_replicates: int) -> RankingReport:
     """
     if n_replicates < 2:
         raise ParameterError("n_replicates must be >= 2")
+    author = cfg.family.author_law()
     correlations = np.empty(n_replicates)
     ratios = np.empty(2 * n_replicates)
     for i in range(n_replicates):
         # three private streams per pair: author count, two citation draws
         base = cfg.seed.stream_id + 3 * i
-        n = int(make_rng(cfg.seed.with_stream(base)).poisson(cfg.lam))
+        n = int(make_rng(cfg.seed.with_stream(base)).poisson(cfg.family.lam))
         n = max(n, 2)
-        first = author_rvs(cfg.p, cfg.q, make_rng(cfg.seed.with_stream(base + 1)), n)
-        second = author_rvs(cfg.p, cfg.q, make_rng(cfg.seed.with_stream(base + 2)), n)
+        first = author_rvs(author, make_rng(cfg.seed.with_stream(base + 1)), n)
+        second = author_rvs(author, make_rng(cfg.seed.with_stream(base + 2)), n)
         correlations[i] = _spearman(first, second)
         for j, sample in enumerate((first, second)):
             ratios[2 * i + j] = float(sample.mean()) / lower_median(sample)

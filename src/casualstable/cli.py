@@ -38,6 +38,7 @@ from .errors import (
 )
 from .extraction import extract_pmf, radial_norm_defect
 from .families import (
+    LAPLACE_FAMILIES,
     Bernoulli,
     Example1,
     Example1Thin,
@@ -57,6 +58,8 @@ from .stability import (
 
 DEFAULT_STABILITY_TOL = 1e-10
 DEFAULT_COEFF_TOL = 1e-8
+# largest admissible certified error of the TV distance, 0.5 (atoms + 1) tol_neg
+TV_CERTIFICATE_TOL = 0.01
 _USAGE_ERRORS = (ParameterError, UnsupportedError, TableError, InsufficientDataError)
 _CHECK_ERRORS = (PrecisionError, InversionError, IterationCapError)
 
@@ -70,7 +73,7 @@ def fmt(value) -> str:
 
 def parse_int_range(text) -> list[int]:
     """Expand 'start..end', 'start..end:step' or a comma list, in order."""
-    text = str(text).strip()  # config files may coerce a bare value to int
+    text = str(text).strip()
     try:
         if ".." in text:
             span, _, step_text = text.partition(":")
@@ -119,21 +122,29 @@ def emit(header: list[str], rows: list[dict], *, out: str | None, as_json: bool)
 # ---------------------------------------------------------------------------
 
 
+_FAMILIES = {
+    "svh": lambda args: SvhStable(args.lam, args.alpha),
+    "ex1": lambda args: Example1(args.lam, args.gamma, args.kappa, args.m),
+    "ex2": lambda args: Example2(args.lam, args.gamma, args.b),
+    "gamma": lambda args: Gamma(args.b, args.gamma),
+    "ts": lambda args: TemperedStable(args.lam, args.alpha, args.h),
+}
+_THINNINGS = {
+    "bernoulli": lambda args: Bernoulli(),
+    "ex1": lambda args: Example1Thin(args.kappa, args.m),
+    "ex2": lambda args: Example2Thin(args.b),
+}
+
+
 def _families_from_args(args):
-    if args.family == "svh":
-        return SvhStable(args.lam, args.alpha), Bernoulli()
-    if args.family == "ex1":
-        return (
-            Example1(args.lam, args.gamma, args.kappa, args.m),
-            Example1Thin(args.kappa, args.m),
-        )
-    if args.family == "ex2":
-        return Example2(args.lam, args.gamma, args.b), Example2Thin(args.b)
-    if args.family == "gamma":
-        return Gamma(args.b, args.gamma), None
-    if args.family == "ts":
-        return TemperedStable(args.lam, args.alpha, args.h), None
-    raise ParameterError(f"unknown family {args.family!r}")
+    """The chosen family and its matched thinning (None for a Laplace family)."""
+    family = _FAMILIES[args.family](args)
+    if isinstance(family, LAPLACE_FAMILIES):
+        return family, None
+    pairs = family.matched_pairs()
+    if not pairs:
+        raise ParameterError(f"no thinning family is matched to {family!r}")
+    return family, pairs[0][0]
 
 
 def cmd_check_stability(args) -> int:
@@ -167,18 +178,8 @@ def cmd_check_stability(args) -> int:
     return 0
 
 
-def _thinning_from_args(args):
-    if args.thinning == "bernoulli":
-        return Bernoulli()
-    if args.thinning == "ex1":
-        return Example1Thin(args.kappa, args.m)
-    if args.thinning == "ex2":
-        return Example2Thin(args.b)
-    raise ParameterError(f"unknown thinning family {args.thinning!r}")
-
-
 def cmd_check_pgf(args) -> int:
-    thinning = _thinning_from_args(args)
+    thinning = _THINNINGS[args.thinning](args)
     header = ["p", "min_coeff", "argmin_k", "tol_neg", "norm_defect"]
     rows = []
     worst_row = None
@@ -221,10 +222,12 @@ def cmd_citations(args) -> int:
         "top_share",
         "tv_distance",
     ]
+    if args.replicates < 1:
+        raise ParameterError(f"--replicates must be a positive integer, not {args.replicates}")
+    family = FieldCitations(args.lam, args.p, args.q)
     rows = []
     for i in range(args.replicates):
-        cfg = FieldSim(args.lam, args.p, args.q, Seed(args.seed, args.stream + i))
-        summary = simulate_field(cfg)
+        summary = simulate_field(FieldSim(family, Seed(args.seed, args.stream + i)))
         rows.append(
             {
                 "record": "field",
@@ -239,9 +242,9 @@ def cmd_citations(args) -> int:
             }
         )
     if args.tv_check:
-        cfg = FieldSim(args.lam, args.p, args.q, Seed(args.seed, args.stream + args.replicates))
-        totals = field_totals(cfg, args.tv_fields)
-        table = extract_pmf(FieldCitations(args.lam, args.p, args.q), args.tv_atoms)
+        # each of the atoms + 1 masses is certified to within tol_neg
+        table = extract_pmf(family, args.tv_atoms, tol=2.0 * TV_CERTIFICATE_TOL / (args.tv_atoms + 1))
+        totals = field_totals(FieldSim(family, Seed(args.seed, args.stream + args.replicates)), args.tv_fields)
         counts = np.bincount(totals[totals <= args.tv_atoms], minlength=args.tv_atoms + 1)
         empirical = counts / len(totals)
         tv = 0.5 * float(np.abs(empirical - table.masses).sum())
@@ -310,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     st = sub.add_parser("check-stability", help="residuals of the defining stability identity")
-    st.add_argument("--family", required=True, choices=["svh", "ex1", "ex2", "gamma", "ts"])
+    st.add_argument("--family", required=True, choices=list(_FAMILIES))
     st.add_argument("--lambda", dest="lam", type=float, default=1.0)
     st.add_argument("--alpha", type=float, default=0.5)
     st.add_argument("--gamma", type=float, default=1.0)
@@ -329,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.set_defaults(func=cmd_check_stability)
 
     pg = sub.add_parser("check-pgf", help="coefficient nonnegativity of thinning p.g.f.s")
-    pg.add_argument("--thinning", required=True, choices=["bernoulli", "ex1", "ex2"])
+    pg.add_argument("--thinning", required=True, choices=list(_THINNINGS))
     pg.add_argument("--kappa", type=float, default=0.0)
     pg.add_argument("--m", type=int, default=1)
     pg.add_argument("--b", type=float, default=0.0)
@@ -394,7 +397,20 @@ def _config_path_from_argv(argv: list[str]) -> tuple[str | None, list[str]]:
     return path, remaining
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
+    """Defaults from a flat ``key = value`` (or ``key value``) file.
+
+    A key is the destination of some subcommand's option, with dashes
+    read as underscores.  Values stay raw strings, so argparse converts
+    each with the option's own ``type``; a flag such as ``json`` takes
+    ``true`` or ``false``.  Unknown keys are rejected.
+    """
+    actions = {
+        action.dest: action
+        for sub in parser.subcommand_parsers
+        for action in sub._actions
+        if action.dest != "help"
+    }
     values: dict = {}
     try:
         handle = open(path)
@@ -410,14 +426,14 @@ def _load_config(path: str) -> dict:
                 key, _, value = line.partition(" ")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            for convert in (int, float):
-                try:
-                    values[key] = convert(value)
-                    break
-                except ValueError:
-                    continue
-            else:
-                values[key] = value
+            action = actions.get(key)
+            if action is None:
+                raise ParameterError(f"unknown config key {key!r} in {path!r}")
+            if action.nargs == 0:  # a flag: no value of its own to convert
+                if value not in ("true", "false"):
+                    raise ParameterError(f"config flag {key!r} must be true or false, not {value!r}")
+                value = value == "true"
+            values[key] = value
     return values
 
 
@@ -427,11 +443,7 @@ def main(argv=None) -> int:
     try:
         config_path, argv = _config_path_from_argv(argv)
         if config_path is not None:
-            overrides = {
-                key: value
-                for key, value in _load_config(config_path).items()
-                if key not in ("func", "command", "config")
-            }
+            overrides = _load_config(config_path, parser)
             for target in [parser, *parser.subcommand_parsers]:
                 target.set_defaults(**overrides)
         args = parser.parse_args(argv)

@@ -112,8 +112,19 @@ def _one_minus_zm(u, m: int):
 # ---------------------------------------------------------------------------
 
 
+class _PgfFamily:
+    """Front end shared by the p.g.f. families: P(z) from the complement kernel."""
+
+    def pgf(self, z):
+        return self.pgf_from_complement(_complement(z))
+
+    def matched_pairs(self) -> tuple:
+        """(thinning, exponent) pairs with P(z) = P(Q_p(z))^n at p = n^(-1/exponent)."""
+        return ()
+
+
 @dataclass(frozen=True)
-class SvhStable:
+class SvhStable(_PgfFamily):
     """Discrete stable law in the Steutel-van Harn sense.
 
     P(z) = exp{-lam (1-z)^alpha} with lam > 0 and alpha in (0, 1].
@@ -133,15 +144,18 @@ class SvhStable:
             "p.g.f. cannot be greater than 1",
         )
 
+    def as_example1(self) -> Example1:
+        return Example1(lam=self.lam, gamma=self.alpha, kappa=0.0, m=1)
+
+    def matched_pairs(self) -> tuple:
+        return ((Bernoulli(), self.alpha), *self.as_example1().matched_pairs())
+
     def pgf_from_complement(self, u):
         return np.exp(-self.lam * np.power(u, self.alpha))
 
-    def pgf(self, z):
-        return self.pgf_from_complement(_complement(z))
-
 
 @dataclass(frozen=True)
-class Example1:
+class Example1(_PgfFamily):
     """Discrete stable family for the Moebius thinning semigroup.
 
     P(z) = exp{-lam W(z)^gamma} with W(z) = (1-z^m)/(1-kappa z^m).
@@ -165,6 +179,12 @@ class Example1:
         _require(0 <= self.kappa < 1, "kappa must lie in [0, 1)")
         _require(self.m >= 1, "m must be a positive integer")
 
+    def matched_pairs(self) -> tuple:
+        try:
+            return ((Example1Thin(self.kappa, self.m), self.gamma),)
+        except ParameterError:  # kappa = 0 has no normalizer family for m > 1
+            return ()
+
     def w_from_complement(self, u):
         # W = v/((1-kappa) + kappa v) with v = 1 - z^m; denominator equals
         # 1 - kappa z^m, rewritten so that v -> 0 stays fully significant
@@ -174,17 +194,20 @@ class Example1:
     def pgf_from_complement(self, u):
         return np.exp(-self.lam * np.power(self.w_from_complement(u), self.gamma))
 
-    def pgf(self, z):
-        return self.pgf_from_complement(_complement(z))
 
+def _chebyshev_angle(b: float, u):
+    """theta = arccos A(z) from u = 1 - z, A(z) = ((1+b)z - 2b)/(2 - (1+b)z).
 
-def _arccos_from_complement(d):
-    """Principal arccos(1 - d) via 2 arcsin(sqrt(d/2)); stable for d ~ 0."""
+    1 - A(z) = 2(1+b)u / ((1-b) + (1+b)u), whose denominator is
+    2 - (1+b)z and never vanishes on the closed unit disk; the principal
+    arccos(1 - d) is taken as 2 arcsin(sqrt(d/2)), stable for d ~ 0.
+    """
+    d = 2.0 * (1.0 + b) * u / ((1.0 - b) + (1.0 + b) * u)
     return 2.0 * np.arcsin(np.sqrt(0.5 * d))
 
 
 @dataclass(frozen=True)
-class Example2:
+class Example2(_PgfFamily):
     """Discrete stable family for the Chebyshev thinning semigroup.
 
     P(z) = exp{-lam theta(z)^gamma} where theta(z) = arccos A(z) and
@@ -201,22 +224,16 @@ class Example2:
         _require(0 < self.gamma <= 2, "gamma must lie in (0, 2]")
         _require(-1 < self.b < 1, "b must lie in (-1, 1)")
 
-    def theta_from_complement(self, u):
-        # 1 - A(z) = 2(1+b)u / ((1-b) + (1+b)u); the denominator is
-        # 2 - (1+b)z and never vanishes on the closed unit disk
-        d = 2.0 * (1.0 + self.b) * u / ((1.0 - self.b) + (1.0 + self.b) * u)
-        return _arccos_from_complement(d)
+    def matched_pairs(self) -> tuple:
+        return ((Example2Thin(self.b), self.gamma),)
 
     def pgf_from_complement(self, u):
-        theta = self.theta_from_complement(u)
+        theta = _chebyshev_angle(self.b, u)
         return np.exp(-self.lam * np.power(theta, self.gamma))
-
-    def pgf(self, z):
-        return self.pgf_from_complement(_complement(z))
 
 
 @dataclass(frozen=True)
-class Geometric:
+class Geometric(_PgfFamily):
     """Number of publications: P(k) = q(1-q)^(k-1) on {1, 2, ...}."""
 
     q: float
@@ -229,12 +246,14 @@ class Geometric:
         # q z / (1 - (1-q) z) with both parts rewritten in u = 1 - z
         return self.q * (1.0 - u) / (self.q + (1.0 - self.q) * u)
 
-    def pgf(self, z):
-        return self.pgf_from_complement(_complement(z))
+
+def _geometric_complement(q: float, u):
+    """1 - G(z) = u / (q + (1-q) u) for the ``Geometric`` p.g.f. G."""
+    return u / (q + (1.0 - q) * u)
 
 
 @dataclass(frozen=True)
-class Sibuya:
+class Sibuya(_PgfFamily):
     """Citations of a single paper: P(z) = 1 - (1-z)^p on {1, 2, ...}.
 
     P(k) = p (1-p)_(k-1) / k! where (x)_j is the rising factorial; the
@@ -251,12 +270,9 @@ class Sibuya:
     def pgf_from_complement(self, u):
         return 1.0 - np.power(u, self.p)
 
-    def pgf(self, z):
-        return self.pgf_from_complement(_complement(z))
-
 
 @dataclass(frozen=True)
-class AuthorCitations:
+class AuthorCitations(_PgfFamily):
     """Citations of one author: Sibuya(p) many papers... composed law.
 
     P(z) = 1 - (1 - G(z))^p where G is the ``Geometric`` p.g.f.; the
@@ -273,16 +289,11 @@ class AuthorCitations:
         _require(0 < self.q <= 1, "q must lie in (0, 1]")
 
     def pgf_from_complement(self, u):
-        # 1 - G(z) = u / (q + (1-q) u)
-        g_c = u / (self.q + (1.0 - self.q) * u)
-        return 1.0 - np.power(g_c, self.p)
-
-    def pgf(self, z):
-        return self.pgf_from_complement(_complement(z))
+        return 1.0 - np.power(_geometric_complement(self.q, u), self.p)
 
 
 @dataclass(frozen=True)
-class FieldCitations:
+class FieldCitations(_PgfFamily):
     """Total citations of a field with Poisson(lam) many authors.
 
     P(z) = exp{-lam ((1-z)/(1-(1-q)z))^p}; identical to ``Example1``
@@ -302,12 +313,15 @@ class FieldCitations:
     def as_example1(self) -> Example1:
         return Example1(lam=self.lam, gamma=self.p, kappa=1.0 - self.q, m=1)
 
-    def pgf_from_complement(self, u):
-        g_c = u / (self.q + (1.0 - self.q) * u)
-        return np.exp(-self.lam * np.power(g_c, self.p))
+    def matched_pairs(self) -> tuple:
+        return self.as_example1().matched_pairs()
 
-    def pgf(self, z):
-        return self.pgf_from_complement(_complement(z))
+    def author_law(self) -> AuthorCitations:
+        """Citations of one of the field's Poisson(lam) many authors."""
+        return AuthorCitations(self.p, self.q)
+
+    def pgf_from_complement(self, u):
+        return np.exp(-self.lam * np.power(_geometric_complement(self.q, u), self.p))
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +329,21 @@ class FieldCitations:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bernoulli:
-    """Classical binomial thinning: Q_p(z) = 1 - p + p z."""
+class _ThinningFamily:
+    """Domain check shared by the thinning families."""
+
+    def p_domain(self) -> tuple[float, bool, str]:
+        """Admissible p: (top, whether top itself is admissible, the interval as text)."""
+        return 1.0, True, "(0, 1]"
 
     def check_p(self, p: float) -> None:
-        _require(0 < p <= 1, "thinning parameter p must lie in (0, 1]")
+        top, closed, text = self.p_domain()
+        _require(0 < p and (p <= top if closed else p < top), f"thinning parameter p must lie in {text}")
+
+
+@dataclass(frozen=True)
+class Bernoulli(_ThinningFamily):
+    """Classical binomial thinning: Q_p(z) = 1 - p + p z."""
 
     def complement_map(self, p: float, u):
         self.check_p(p)
@@ -331,7 +354,7 @@ class Bernoulli:
 
 
 @dataclass(frozen=True)
-class Example1Thin:
+class Example1Thin(_ThinningFamily):
     """Moebius normalizer family.
 
     Q_p(z) = (((1-p)+(p-kappa)z^m) / ((1-p kappa)-kappa(1-p)z^m))^(1/m).
@@ -359,15 +382,10 @@ class Example1Thin:
                 "kappa must lie in (0, 1) when m > 1 (admissibility needs p < kappa)",
             )
 
-    def check_p(self, p: float) -> None:
+    def p_domain(self) -> tuple[float, bool, str]:
         if self.m == 1:
-            _require(0 < p <= 1, "thinning parameter p must lie in (0, 1] when m = 1")
-        else:
-            _require(
-                0 < p < self.kappa,
-                f"thinning parameter p must lie in (0, kappa) = (0, {self.kappa}) "
-                "when m > 1",
-            )
+            return 1.0, True, "(0, 1] when m = 1"
+        return self.kappa, False, f"(0, kappa) = (0, {self.kappa}) when m > 1"
 
     def complement_map(self, p: float, u):
         self.check_p(p)
@@ -386,7 +404,7 @@ class Example1Thin:
 
 
 @dataclass(frozen=True)
-class Example2Thin:
+class Example2Thin(_ThinningFamily):
     """Chebyshev normalizer family: Q_p = A^(-1) o T_p o A.
 
     A(z) = ((1+b)z - 2b)/(2 - (1+b)z), T_p(x) = cos(p arccos x).
@@ -400,13 +418,9 @@ class Example2Thin:
         _coerce_float(self, "b")
         _require(-1 < self.b < 1, "b must lie in (-1, 1)")
 
-    def check_p(self, p: float) -> None:
-        _require(0 < p <= 1, "thinning parameter p must lie in (0, 1]")
-
     def complement_map(self, p: float, u):
         self.check_p(p)
-        d = 2.0 * (1.0 + self.b) * u / ((1.0 - self.b) + (1.0 + self.b) * u)
-        theta = _arccos_from_complement(d)
+        theta = _chebyshev_angle(self.b, u)
         # 1 - T_p(A(z)) = 2 sin^2(p theta / 2), then pull back through
         # 1 - A^(-1)(w) = (1-b)(1-w) / ((1+b)(1+w))
         one_minus_t = 2.0 * np.square(np.sin(0.5 * p * theta))

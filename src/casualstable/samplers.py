@@ -3,7 +3,9 @@
 All randomness flows through a counter-based Philox generator keyed by
 an explicit ``Seed(value, stream_id)`` pair, so parallel simulations
 are reproducible independent of scheduling: one stream per logical
-task, never a shared global state.
+task, never a shared global state.  Each sampler takes the family
+object whose law it draws, so parameter domains are checked once, when
+the family is constructed.
 
 Two Sibuya samplers are provided.  ``sample_sibuya`` runs the
 generative mechanism itself (a paper with k-1 citations stops being
@@ -29,21 +31,17 @@ from .errors import (
     UnsupportedError,
 )
 from .extraction import PmfTable
-from .families import TemperedStable
+from .families import Example1, Geometric, Sibuya, SvhStable, TemperedStable
 
 __all__ = [
     "Seed",
     "make_rng",
     "sample_geometric",
     "sample_sibuya",
-    "sample_poisson",
-    "thin_bernoulli",
     "thin_general",
-    "sample_discrete_stable_svh",
-    "sample_discrete_stable_ex1",
-    "sample_inverse_gaussian",
     "geometric_rvs",
     "sibuya_rvs",
+    "geometric_sums",
     "svh_rvs",
     "ex1_rvs",
     "inverse_gaussian_rvs",
@@ -83,25 +81,17 @@ def make_rng(seed: Seed | int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed.value, seed.stream_id]))
 
 
-def _check_prob(name: str, value: float, *, closed_top: bool = True) -> None:
-    top_ok = value <= 1 if closed_top else value < 1
-    if not (0 < value and top_ok):
-        interval = "(0, 1]" if closed_top else "(0, 1)"
-        raise ParameterError(f"{name} must lie in {interval}")
-
-
 # ---------------------------------------------------------------------------
 # scalar sampling operations
 # ---------------------------------------------------------------------------
 
 
-def sample_geometric(q: float, rng: np.random.Generator) -> int:
+def sample_geometric(family: Geometric, rng: np.random.Generator) -> int:
     """One draw with P(k) = q(1-q)^(k-1), k >= 1."""
-    _check_prob("q", q)
-    return int(rng.geometric(q))
+    return int(rng.geometric(family.q))
 
 
-def sample_sibuya(p: float, rng: np.random.Generator, *, cap: int = SIBUYA_ITERATION_CAP) -> int:
+def sample_sibuya(family: Sibuya, rng: np.random.Generator, *, cap: int = SIBUYA_ITERATION_CAP) -> int:
     """One draw from the sequential citation mechanism.
 
     Start at k = 1; stop with probability p/k, else advance.  The
@@ -110,7 +100,7 @@ def sample_sibuya(p: float, rng: np.random.Generator, *, cap: int = SIBUYA_ITERA
     with an ``IterationCapError`` after ``cap`` steps; the error keeps
     runaway tail draws (probability ~ cap^(-p)) from hanging callers.
     """
-    _check_prob("p", p)
+    p = family.p
     if p == 1.0:
         return 1
     k = 1
@@ -129,20 +119,6 @@ def sample_sibuya(p: float, rng: np.random.Generator, *, cap: int = SIBUYA_ITERA
         f"sibuya draw exceeded the iteration cap {cap}; the tail event has "
         f"probability ~ cap^(-p) = {cap ** -p:.2e}"
     )
-
-
-def sample_poisson(lam: float, rng: np.random.Generator) -> int:
-    if lam <= 0:
-        raise ParameterError("lam must be positive")
-    return int(rng.poisson(lam))
-
-
-def thin_bernoulli(x: int, p: float, rng: np.random.Generator) -> int:
-    """Binomial(x, p): each of x particles survives independently."""
-    if x < 0:
-        raise ParameterError("x must be nonnegative")
-    _check_prob("p", p)
-    return int(rng.binomial(x, p))
 
 
 def thin_general(x: int, law: PmfTable, rng: np.random.Generator) -> int:
@@ -171,40 +147,13 @@ def thin_general(x: int, law: PmfTable, rng: np.random.Generator) -> int:
     return int(total)
 
 
-def sample_discrete_stable_svh(lam: float, alpha: float, rng: np.random.Generator) -> int:
-    """One draw with p.g.f. exp{-lam (1-z)^alpha}.
-
-    Compound Poisson construction: N ~ Poisson(lam) many Sibuya(alpha)
-    summands, exact because 1 - (1-z)^alpha is the Sibuya p.g.f.
-    """
-    return int(svh_rvs(lam, alpha, rng, 1)[0])
-
-
-def sample_discrete_stable_ex1(
-    lam: float, gamma: float, kappa: float, m: int, rng: np.random.Generator
-) -> int:
-    """One draw with p.g.f. exp{-lam ((1-z^m)/(1-kappa z^m))^gamma}.
-
-    Compound Poisson over Sibuya(gamma) many Geometric(1-kappa) draws,
-    all scaled by m: 1 - ((1-w)/(1-kappa w))^gamma is the Sibuya(gamma)
-    compound of Geometric(1-kappa) at w = z^m.
-    """
-    return int(ex1_rvs(lam, gamma, kappa, m, rng, 1)[0])
-
-
-def sample_inverse_gaussian(family: TemperedStable, rng: np.random.Generator) -> float:
-    """One exact inverse Gaussian draw for the alpha = 1/2 family."""
-    return float(inverse_gaussian_rvs(family, rng, 1)[0])
-
-
 # ---------------------------------------------------------------------------
 # array samplers
 # ---------------------------------------------------------------------------
 
 
-def geometric_rvs(q: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    _check_prob("q", q)
-    return rng.geometric(q, size).astype(np.int64)
+def geometric_rvs(family: Geometric, rng: np.random.Generator, size: int) -> np.ndarray:
+    return rng.geometric(family.q, size).astype(np.int64)
 
 
 def _sibuya_log_survival(k, p: float):
@@ -221,7 +170,7 @@ def _sibuya_log_survival(k, p: float):
     return np.where(k < 1e6, exact, asymptotic) - gammaln(1.0 - p)
 
 
-def sibuya_rvs(p: float, rng: np.random.Generator, size: int) -> np.ndarray:
+def sibuya_rvs(family: Sibuya, rng: np.random.Generator, size: int) -> np.ndarray:
     """Array of Sibuya(p) draws by exact inversion of the survival function.
 
     The survival values S(k) = prod_{j<=k} (1 - p/j) are tabulated for
@@ -231,7 +180,7 @@ def sibuya_rvs(p: float, rng: np.random.Generator, size: int) -> np.ndarray:
     Draws beyond 2^61 (probability ~ 2^(-61 p)) raise
     ``IterationCapError`` rather than silently overflowing.
     """
-    _check_prob("p", p)
+    p = family.p
     if size < 0:
         raise ParameterError("size must be nonnegative")
     if p == 1.0:
@@ -281,33 +230,33 @@ def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return prefix[boundaries[1:]] - prefix[boundaries[:-1]]
 
 
-def svh_rvs(lam: float, alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Array sampler for exp{-lam (1-z)^alpha}."""
-    if lam <= 0:
-        raise ParameterError("lam must be positive")
-    _check_prob("alpha", alpha)
-    counts = rng.poisson(lam, size)
-    summands = sibuya_rvs(alpha, rng, int(counts.sum()))
-    return _segment_sums(summands, counts)
+def geometric_sums(counts, q: float, rng: np.random.Generator):
+    """Sum of k independent Geometric(q) draws for each count k.
+
+    Drawn as k + NegativeBinomial(k, q), so a count of 10^9 never
+    allocates 10^9 draws; q = 1 returns the counts and draws nothing.
+    """
+    if q == 1.0:
+        return counts
+    return counts + rng.negative_binomial(counts, q)
 
 
-def ex1_rvs(
-    lam: float, gamma: float, kappa: float, m: int, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Array sampler for exp{-lam ((1-z^m)/(1-kappa z^m))^gamma}."""
-    if lam <= 0:
-        raise ParameterError("lam must be positive")
-    _check_prob("gamma", gamma)
-    if not 0 <= kappa < 1:
-        raise ParameterError("kappa must lie in [0, 1)")
-    if int(m) != m or m < 1:
-        raise ParameterError("m must be a positive integer")
-    counts = rng.poisson(lam, size)
-    papers = sibuya_rvs(gamma, rng, int(counts.sum()))
-    if kappa > 0:
-        # sum of k Geometric(1-kappa) draws = k + NegativeBinomial(k, 1-kappa)
-        papers = papers + rng.negative_binomial(papers, 1.0 - kappa)
-    return int(m) * _segment_sums(papers, counts)
+def ex1_rvs(family: Example1, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Array sampler for exp{-lam ((1-z^m)/(1-kappa z^m))^gamma}.
+
+    Compound Poisson: Poisson(lam) many jumps, each m times a sum of
+    Sibuya(gamma) many Geometric(1-kappa) draws, because
+    1 - ((1-w)/(1-kappa w))^gamma is that compound's p.g.f. at w = z^m.
+    """
+    counts = rng.poisson(family.lam, size)
+    papers = sibuya_rvs(Sibuya(family.gamma), rng, int(counts.sum()))
+    papers = geometric_sums(papers, 1.0 - family.kappa, rng)
+    return family.m * _segment_sums(papers, counts)
+
+
+def svh_rvs(family: SvhStable, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Array sampler for exp{-lam (1-z)^alpha}: ``ex1_rvs`` at kappa = 0, m = 1."""
+    return ex1_rvs(family.as_example1(), rng, size)
 
 
 def inverse_gaussian_rvs(family: TemperedStable, rng: np.random.Generator, size: int) -> np.ndarray:

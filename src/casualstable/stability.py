@@ -19,18 +19,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .extraction import ResidualReport
-from .families import (
-    Bernoulli,
-    Example1,
-    Example1Thin,
-    Example2,
-    Example2Thin,
-    FieldCitations,
-    LAPLACE_FAMILIES,
-    PGF_FAMILIES,
-    SvhStable,
-    THINNING_FAMILIES,
-)
+from .families import LAPLACE_FAMILIES, PGF_FAMILIES, THINNING_FAMILIES
 
 __all__ = [
     "default_z_grid",
@@ -129,10 +118,13 @@ def commutativity_residual(thinning, p1: float, p2: float, z_grid=None) -> Resid
     )
 
 
-def _golden_section(objective, lo: float, hi: float) -> float:
-    """Golden-section minimizer; ties resolved toward the smaller argument."""
+def _golden_section(objective, thinning) -> float:
+    """Golden-section minimizer over the thinning's admissible p interval
+    (padded off its ends); ties resolved toward the smaller argument."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    top = thinning.p_domain()[0]
+    pad = 1e-9 * top
+    a, b = pad, top - pad
     x1 = b - inv_phi * (b - a)
     x2 = a + inv_phi * (b - a)
     f1, f2 = objective(x1), objective(x2)
@@ -151,12 +143,6 @@ def _golden_section(objective, lo: float, hi: float) -> float:
     return float(best)
 
 
-def _admissible_interval(thinning) -> tuple[float, float]:
-    if isinstance(thinning, Example1Thin) and thinning.m > 1:
-        return (0.0, thinning.kappa)
-    return (0.0, 1.0)
-
-
 def compose_thinning(thinning, p1: float, p2: float, z_grid=None) -> tuple[float, float]:
     """Empirical composition law: fit Q_p1 o Q_p2 by a single Q_p_eff.
 
@@ -173,47 +159,27 @@ def compose_thinning(thinning, p1: float, p2: float, z_grid=None) -> tuple[float
     def objective(p: float) -> float:
         return float(np.abs(thinning.complement_map(p, u) - target).max())
 
-    lo, hi = _admissible_interval(thinning)
-    pad = 1e-9 * (hi - lo)
-    p_eff = _golden_section(objective, lo + pad, hi - pad)
+    p_eff = _golden_section(objective, thinning)
     return p_eff, objective(p_eff)
-
-
-def _matched_exponent(family, thinning) -> float | None:
-    """Stability exponent when (family, thinning) form a matched pair."""
-    if isinstance(family, SvhStable) and isinstance(thinning, Bernoulli):
-        return family.alpha
-    if isinstance(family, Example1) and isinstance(thinning, Example1Thin):
-        if family.kappa == thinning.kappa and family.m == thinning.m:
-            return family.gamma
-    if isinstance(family, FieldCitations) and isinstance(thinning, Example1Thin):
-        if thinning.kappa == 1.0 - family.q and thinning.m == 1:
-            return family.p
-    if isinstance(family, Example2) and isinstance(thinning, Example2Thin):
-        if family.b == thinning.b:
-            return family.gamma
-    # SvhStable is Example1/Example1Thin with kappa = 0, m = 1
-    if isinstance(family, SvhStable) and isinstance(thinning, Example1Thin):
-        if thinning.kappa == 0.0 and thinning.m == 1:
-            return family.alpha
-    return None
 
 
 def solve_pn(family, thinning, n: int) -> float:
     """Normalizing thinning parameter p(n) for n-fold stability.
 
-    Matched (family, thinning) pairs admit the closed form
-    p(n) = n^(-1/exponent) (exponent alpha, gamma or p as appropriate);
-    the residual checker certifies the choice.  Unmatched pairs fall
-    back to a golden-section search minimizing the stability residual
-    over the admissible interval.  Raises when p(n) lands outside the
+    Matched (family, thinning) pairs, as the family reports them in
+    ``matched_pairs``, admit the closed form p(n) = n^(-1/exponent); the
+    residual checker certifies the choice.  Unmatched pairs fall back to
+    a golden-section search minimizing the stability residual over the
+    thinning's admissible interval.  Raises when p(n) lands outside the
     thinning family's domain (m > 1 needs n^(-1/gamma) < kappa).
     """
     if int(n) != n or n < 1:
         raise ParameterError("n must be an integer >= 1")
     if n == 1:
         return 1.0
-    exponent = _matched_exponent(family, thinning)
+    if not isinstance(thinning, THINNING_FAMILIES):
+        raise ParameterError(f"not a thinning family: {thinning!r}")
+    exponent = dict(family.matched_pairs()).get(thinning) if isinstance(family, PGF_FAMILIES) else None
     if exponent is not None:
         p = float(n) ** (-1.0 / exponent)
         thinning.check_p(p)  # admissibility: raises outside the domain
@@ -223,6 +189,4 @@ def solve_pn(family, thinning, n: int) -> float:
     def objective(p: float) -> float:
         return discrete_stability_residual(family, thinning, n, p, z).sup_residual
 
-    lo, hi = _admissible_interval(thinning)
-    pad = 1e-9 * (hi - lo)
-    return _golden_section(objective, lo + pad, hi - pad)
+    return _golden_section(objective, thinning)

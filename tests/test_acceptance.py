@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from casualstable import (
+    AuthorCitations,
     Bernoulli,
     Example1,
     Example1Thin,
@@ -173,14 +174,14 @@ def test_criterion_05_commutativity(capsys):
 
 
 def run_criterion6_pipeline():
-    totals = field_totals(FieldSim(1.0, 0.5, 0.5, Seed(42, 0)), 10 ** 6)
+    totals = field_totals(FieldSim(FieldCitations(1.0, 0.5, 0.5), Seed(42, 0)), 10 ** 6)
     table = extract_pmf(FieldCitations(1.0, 0.5, 0.5), 100)
     counts = np.bincount(totals[totals <= 100], minlength=101)
     tv = 0.5 * float(np.abs(counts / len(totals) - table.masses).sum())
     mode = empirical_mode(totals)
-    authors = author_rvs(0.5, 0.5, make_rng(Seed(42, 1)), 10 ** 6)
+    authors = author_rvs(AuthorCitations(0.5, 0.5), make_rng(Seed(42, 1)), 10 ** 6)
     hill = tail_exponent(authors)
-    big = author_rvs(0.5, 0.5, make_rng(Seed(42, 2)), 10 ** 7)
+    big = author_rvs(AuthorCitations(0.5, 0.5), make_rng(Seed(42, 2)), 10 ** 7)
     small = big[: 10 ** 6]
     ratio_small = float(np.mean(small)) / lower_median(small)
     ratio_big = float(np.mean(big)) / lower_median(big)

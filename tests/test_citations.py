@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from casualstable import (
+    AuthorCitations,
     Example1Thin,
     FieldCitations,
     FieldSim,
@@ -42,18 +43,23 @@ def test_order_statistics_helpers():
 
 
 def test_field_sim_validation():
-    FieldSim(1.0, 0.5, 0.5, Seed(0))
+    FieldSim(FieldCitations(1.0, 0.5, 0.5), Seed(0))
     with pytest.raises(ParameterError):
-        FieldSim(0.0, 0.5, 0.5, Seed(0))
+        FieldSim(FieldCitations(0.0, 0.5, 0.5), Seed(0))
     with pytest.raises(ParameterError):
-        FieldSim(1.0, 1.5, 0.5, Seed(0))
+        FieldSim(FieldCitations(1.0, 1.5, 0.5), Seed(0))
     with pytest.raises(ParameterError):
-        FieldSim(1.0, 0.5, 0.0, Seed(0))
+        FieldSim(FieldCitations(1.0, 0.5, 0.0), Seed(0))
+
+
+def test_author_law_domain_is_checked_by_the_family():
+    with pytest.raises(ParameterError):
+        author_rvs(AuthorCitations(0.5, 0.0), make_rng(Seed(0)), 10)
 
 
 def test_author_support_and_pgf():
     rng = make_rng(Seed(34, 0))
-    x = author_rvs(0.5, 0.5, rng, 100_000)
+    x = author_rvs(AuthorCitations(0.5, 0.5), rng, 100_000)
     assert x.min() >= 1  # every author has >= 1 paper with >= 1 citation
     for z, target in AUTHOR_PGF.items():
         vals = z**x
@@ -63,8 +69,8 @@ def test_author_support_and_pgf():
 
 def test_scalar_author_agrees_with_bulk():
     rng = make_rng(Seed(37, 0))
-    scalar = np.array([simulate_author(0.5, 0.5, rng) for _ in range(5000)])
-    bulk = author_rvs(0.5, 0.5, make_rng(Seed(37, 1)), 5000)
+    scalar = np.array([simulate_author(AuthorCitations(0.5, 0.5), rng) for _ in range(5000)])
+    bulk = author_rvs(AuthorCitations(0.5, 0.5), make_rng(Seed(37, 1)), 5000)
     grid = np.unique(np.concatenate([scalar, bulk]))
     cs_ = np.searchsorted(np.sort(scalar), grid, side="right") / len(scalar)
     cb = np.searchsorted(np.sort(bulk), grid, side="right") / len(bulk)
@@ -73,7 +79,7 @@ def test_scalar_author_agrees_with_bulk():
 
 
 def test_hill_estimator_recovers_index():
-    x = author_rvs(0.7, 0.5, make_rng(Seed(35, 0)), 10**6)
+    x = author_rvs(AuthorCitations(0.7, 0.5), make_rng(Seed(35, 0)), 10**6)
     assert 0.6 < tail_exponent(x) < 0.8
     with pytest.raises(InsufficientDataError):
         tail_exponent(np.arange(1, 100))  # below the minimum sample size
@@ -87,7 +93,7 @@ def test_sample_mean_grows_with_sample_size():
     medians = []
     for j, size in enumerate([10**4, 10**5, 10**6]):
         means = [
-            author_rvs(0.5, 0.5, make_rng(Seed(32, j * 20 + i)), size).mean()
+            author_rvs(AuthorCitations(0.5, 0.5), make_rng(Seed(32, j * 20 + i)), size).mean()
             for i in range(20)
         ]
         medians.append(np.median(means))
@@ -96,14 +102,14 @@ def test_sample_mean_grows_with_sample_size():
 
 def test_median_is_stable_across_sample_sizes():
     meds = [
-        lower_median(author_rvs(0.5, 0.5, make_rng(Seed(33, j)), size))
+        lower_median(author_rvs(AuthorCitations(0.5, 0.5), make_rng(Seed(33, j)), size))
         for j, size in enumerate([10**4, 10**5, 10**6])
     ]
     assert max(meds) - min(meds) <= 1
 
 
 def test_simulate_field_summary():
-    summary = simulate_field(FieldSim(100.0, 0.5, 0.5, Seed(7, 0)))
+    summary = simulate_field(FieldSim(FieldCitations(100.0, 0.5, 0.5), Seed(7, 0)))
     assert summary.n_scientists > 0
     assert summary.total == summary.per_author_citations.sum()
     assert summary.mean >= summary.median
@@ -113,8 +119,8 @@ def test_simulate_field_summary():
 
 
 def test_field_totals_deterministic():
-    a = field_totals(FieldSim(1.0, 0.5, 0.5, Seed(42, 0)), 1000)
-    b = field_totals(FieldSim(1.0, 0.5, 0.5, Seed(42, 0)), 1000)
+    a = field_totals(FieldSim(FieldCitations(1.0, 0.5, 0.5), Seed(42, 0)), 1000)
+    b = field_totals(FieldSim(FieldCitations(1.0, 0.5, 0.5), Seed(42, 0)), 1000)
     assert np.array_equal(a, b)
     assert a.min() >= 0  # empty fields contribute zero totals
 
@@ -128,11 +134,11 @@ def test_field_reproduces_under_thinned_superposition():
     p = solve_pn(field.as_example1(), thin, n)
     law = extract_pmf(lambda z: thin.thin(p, z), 100)
     size = 20_000
-    base = field_totals(FieldSim(1.0, 0.5, 0.5, Seed(36, 0)), size)
+    base = field_totals(FieldSim(FieldCitations(1.0, 0.5, 0.5), Seed(36, 0)), size)
     rng = make_rng(Seed(36, 1))
     parts = np.zeros(size, dtype=np.int64)
     for i in range(n):
-        copy = field_totals(FieldSim(1.0, 0.5, 0.5, Seed(36, 2 + i)), size)
+        copy = field_totals(FieldSim(FieldCitations(1.0, 0.5, 0.5), Seed(36, 2 + i)), size)
         parts += np.array([thin_general(int(v), law, rng) for v in copy])
     grid = np.unique(np.concatenate([base, parts]))
     cb = np.searchsorted(np.sort(base), grid, side="right") / size
@@ -142,10 +148,10 @@ def test_field_reproduces_under_thinned_superposition():
 
 
 def test_ranking_is_pure_chance():
-    report = ranking_instability(FieldSim(1000.0, 0.5, 0.5, Seed(31, 0)), 100)
+    report = ranking_instability(FieldSim(FieldCitations(1000.0, 0.5, 0.5), Seed(31, 0)), 100)
     assert report.n_replicates == 100
     assert abs(report.mean_correlation) < 0.02
     # the mean always overstates the median for this heavy-tailed law
     assert (report.mean_median_ratios > 1.0).all()
     with pytest.raises(ParameterError):
-        ranking_instability(FieldSim(10.0, 0.5, 0.5, Seed(0)), 1)
+        ranking_instability(FieldSim(FieldCitations(10.0, 0.5, 0.5), Seed(0)), 1)

@@ -51,6 +51,14 @@ def test_alpha_above_one_exits_two_citing_the_constraint(capsys):
     assert "greater than 1" in err
 
 
+def test_family_without_matched_thinning_exits_two(capsys):
+    code, out, err = run(
+        ["check-stability", "--family", "ex1", "--kappa", "0", "--m", "2", "--n", "2..5"], capsys
+    )
+    assert code == 2 and out == ""
+    assert "no thinning family is matched" in err
+
+
 def test_tightened_tolerance_exits_one(capsys):
     code, out, err = run(
         ["check-stability", "--family", "svh", "--alpha", "0.5", "--n", "2..5", "--tol", "1e-18"],
@@ -145,6 +153,27 @@ def test_citations_tv_check_row(capsys):
 def test_citations_rejects_p_zero(capsys):
     code, out, err = run(["citations", "--p", "0", "--replicates", "1"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("replicates", ["0", "-1"])
+def test_citations_rejects_non_positive_replicates(replicates, capsys):
+    code, out, err = run(["citations", "--lambda", "1", "--replicates", replicates], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--replicates" in err
+
+
+def test_citations_tv_check_enforces_its_certificate(capsys):
+    # at 400 atoms the summed table bound 0.5 (atoms + 1) tol_neg is far
+    # above 0.01, so the distance it would print is meaningless
+    argv = ["citations", "--lambda", "1", "--replicates", "1", "--tv-check", "--tv-fields", "1000"]
+    code, out, err = run(argv + ["--tv-atoms", "400"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "certified extraction bound" in err
+    code, out, err = run(argv + ["--tv-atoms", "200"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1].startswith("tv_check,")
 
 
 def test_citations_json_rows_parse(capsys):
@@ -280,6 +309,41 @@ def test_config_space_form_and_dashed_keys(tmp_path, capsys):
     code, out, err = run(["--config", str(cfg), "converge", "--n", "2,10"], capsys)
     assert code == 0
     assert all(float(line.split(",")[2]) < 1e-12 for line in out.splitlines()[1:])
+
+
+def test_config_false_flag_stays_off(tmp_path, capsys):
+    cfg = tmp_path / "flags.cfg"
+    cfg.write_text("json = false\n")
+    code, out, err = run(["--config", str(cfg), "check-stability", "--family", "svh", "--n", "2"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "n,p,residual,argmax_z"
+    cfg.write_text("json = true\n")
+    code, out, err = run(["--config", str(cfg), "check-stability", "--family", "svh", "--n", "2"], capsys)
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["n"] == 2
+    cfg.write_text("json = 0\n")
+    code, out, err = run(["--config", str(cfg), "check-stability", "--family", "svh", "--n", "2"], capsys)
+    assert code == 2
+    assert "json" in err
+
+
+def test_config_unknown_key_exits_two_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("lamda = 10\n")
+    code, out, err = run(["--config", str(cfg), "citations", "--replicates", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "lamda" in err
+
+
+def test_config_value_is_parsed_by_the_option_type(tmp_path, capsys):
+    # --m is an integer option: 2.5 is refused, not truncated to 2
+    cfg = tmp_path / "ex1.cfg"
+    cfg.write_text("kappa = 0.6\nm = 2.5\n")
+    with pytest.raises(SystemExit) as stop:
+        main(["--config", str(cfg), "check-stability", "--family", "ex1", "--n", "2"])
+    assert stop.value.code == 2
+    assert "--m" in capsys.readouterr().err
 
 
 def test_missing_config_exits_two(capsys):

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from casualstable import (
+    Example1,
+    Geometric,
     IterationCapError,
     ParameterError,
     PmfTable,
@@ -59,12 +61,12 @@ def test_rng_determinism_and_stream_independence():
 
 def test_geometric_support_and_mean():
     rng = make_rng(Seed(1, 0))
-    x = geometric_rvs(0.25, rng, 100_000)
+    x = geometric_rvs(Geometric(0.25), rng, 100_000)
     assert x.min() >= 1
     se = x.std() / np.sqrt(len(x))
     assert abs(x.mean() - 4.0) < 4 * se
     rng = make_rng(Seed(1, 1))
-    y = np.array([sample_geometric(0.25, rng) for _ in range(2000)])
+    y = np.array([sample_geometric(Geometric(0.25), rng) for _ in range(2000)])
     assert y.min() >= 1
 
 
@@ -72,14 +74,14 @@ def test_sibuya_scalar_vs_bulk_same_law():
     # the sequential mechanism and the inversion sampler must agree
     n = 20_000
     r1, r2 = make_rng(Seed(11, 0)), make_rng(Seed(11, 1))
-    scalar = np.array([sample_sibuya(0.5, r1) for _ in range(n)])
-    bulk = sibuya_rvs(0.5, r2, n)
+    scalar = np.array([sample_sibuya(Sibuya(0.5), r1) for _ in range(n)])
+    bulk = sibuya_rvs(Sibuya(0.5), r2, n)
     assert scaled_ks(scalar, bulk) < KS_CRIT
 
 
 def test_sibuya_pmf_and_survival():
     rng = make_rng(Seed(11, 1))
-    x = sibuya_rvs(0.5, rng, 20_000)
+    x = sibuya_rvs(Sibuya(0.5), rng, 20_000)
     assert x.min() >= 1
     # closed-form pmf at k = 1..4: 1/2, 1/8, 1/16, 5/128
     for k, pk in [(1, 0.5), (2, 0.125), (3, 0.0625), (4, 0.0390625)]:
@@ -96,7 +98,7 @@ def test_sibuya_iteration_cap():
     rng = make_rng(Seed(2, 0))
     with pytest.raises(IterationCapError):
         for _ in range(200):
-            sample_sibuya(0.05, rng, cap=50)
+            sample_sibuya(Sibuya(0.05), rng, cap=50)
 
 
 def test_sibuya_value_cap():
@@ -104,18 +106,18 @@ def test_sibuya_value_cap():
     # sampler must refuse rather than return a truncated draw
     rng = make_rng(Seed(5, 0))
     with pytest.raises(IterationCapError, match="2\\^61"):
-        sibuya_rvs(0.05, rng, 200)
+        sibuya_rvs(Sibuya(0.05), rng, 200)
 
 
 def test_bulk_samplers_are_deterministic():
-    x = svh_rvs(1.0, 0.5, make_rng(Seed(3, 0)), 1000)
-    y = svh_rvs(1.0, 0.5, make_rng(Seed(3, 0)), 1000)
+    x = svh_rvs(SvhStable(1.0, 0.5), make_rng(Seed(3, 0)), 1000)
+    y = svh_rvs(SvhStable(1.0, 0.5), make_rng(Seed(3, 0)), 1000)
     assert np.array_equal(x, y)
 
 
 def test_svh_sampler_matches_transform():
     rng = make_rng(Seed(12, 0))
-    x = svh_rvs(1.0, 0.5, rng, 200_000)
+    x = svh_rvs(SvhStable(1.0, 0.5), rng, 200_000)
     table = extract_pmf(SvhStable(1.0, 0.5), 60)
     counts = np.bincount(x[x <= 60], minlength=61) / len(x)
     tv = 0.5 * np.abs(counts - table.masses).sum()
@@ -125,11 +127,11 @@ def test_svh_sampler_matches_transform():
 def test_ex1_sampler_mean_and_lattice():
     # gamma = 1, m = 1: the p.g.f. exp(-lam W) has mean lam/(1 - kappa)
     rng = make_rng(Seed(13, 0))
-    y = ex1_rvs(2.0, 1.0, 0.4, 1, rng, 200_000)
+    y = ex1_rvs(Example1(2.0, 1.0, 0.4, 1), rng, 200_000)
     se = y.std() / np.sqrt(len(y))
     assert abs(y.mean() - 2.0 / 0.6) < 4 * se
     rng = make_rng(Seed(14, 0))
-    y2 = ex1_rvs(1.0, 0.5, 0.4, 2, rng, 2000)
+    y2 = ex1_rvs(Example1(1.0, 0.5, 0.4, 2), rng, 2000)
     assert (y2 % 2 == 0).all()
 
 
@@ -138,9 +140,9 @@ def test_thin_general_reproduces_thinned_law():
     lam, alpha, p = 1.0, 0.5, 0.3
     law = extract_pmf(lambda z: 1.0 - p + p * z, 1)
     rng = make_rng(Seed(21, 0))
-    x = svh_rvs(lam, alpha, rng, 10_000)
+    x = svh_rvs(SvhStable(lam, alpha), rng, 10_000)
     thinned = np.array([thin_general(int(v), law, rng) for v in x])
-    direct = svh_rvs(lam * p**alpha, alpha, make_rng(Seed(21, 1)), 10_000)
+    direct = svh_rvs(SvhStable(lam * p**alpha, alpha), make_rng(Seed(21, 1)), 10_000)
     assert scaled_ks(thinned, direct) < KS_CRIT
 
 

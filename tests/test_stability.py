@@ -87,6 +87,15 @@ def test_solve_pn_closed_forms():
     assert solve_pn(SvhStable(3.0, 0.7), Bernoulli(), 1) == 1.0
 
 
+def test_matched_pairs_live_on_the_families():
+    assert SvhStable(1.0, 0.5).matched_pairs() == ((Bernoulli(), 0.5), (Example1Thin(0.0, 1), 0.5))
+    assert FieldCitations(1.0, 0.5, 0.3).matched_pairs() == ((Example1Thin(0.7, 1), 0.5),)
+    # kappa = 0 has no m = 2 normalizer: unmatched, so p(n) comes from the search
+    family = Example1(1.0, 0.6, 0.0, 2)
+    assert family.matched_pairs() == ()
+    assert 0.0 < solve_pn(family, Bernoulli(), 2) < 1.0
+
+
 def test_solve_pn_rejects_bad_n():
     with pytest.raises(ParameterError, match="integer >= 1"):
         solve_pn(SvhStable(1.0, 0.5), Bernoulli(), 0)
