@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import InsufficientDataError, ParameterError
 from .families import AuthorCitations, FieldCitations, Sibuya
@@ -184,6 +183,10 @@ def tail_exponent(samples, top_fraction: float = DEFAULT_TOP_FRACTION) -> float:
 
 
 def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    # imported here: scipy.stats costs about 1 s and 40 MB at import,
+    # and only ranking_instability needs it
+    from scipy import stats as sps
+
     if np.all(x == x[0]) or np.all(y == y[0]):
         return float("nan")  # ranks undefined for a constant vector
     with warnings.catch_warnings():

@@ -83,16 +83,22 @@ def parse_int_range(text) -> list[int]:
             if step < 1 or end < start:
                 raise ParameterError(f"bad range: {text!r}")
             return list(range(start, end + 1, step))
-        return [int(part) for part in text.split(",") if part.strip()]
+        values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as error:
         raise ParameterError(f"bad integer range {text!r}: {error}") from error
+    if not values:
+        raise ParameterError(f"empty integer list {text!r}")
+    return values
 
 
 def parse_float_list(text) -> list[float]:
     try:
-        return [float(part) for part in str(text).split(",") if part.strip()]
+        values = [float(part) for part in str(text).split(",") if part.strip()]
     except ValueError as error:
         raise ParameterError(f"bad float list {text!r}: {error}") from error
+    if not values:
+        raise ParameterError(f"empty float list {text!r}")
+    return values
 
 
 def emit(header: list[str], rows: list[dict], *, out: str | None, as_json: bool) -> None:

@@ -17,10 +17,16 @@ The recorded ``tol_neg`` is the sum of both parts (floored at 1e-9) and
 certifies the claim "every true coefficient is >= extracted - tol_neg";
 a genuine negative mass therefore shows up as a coefficient below
 -tol_neg, which is how p.g.f. validity is tested.
+
+The sample points r e^(2 pi i j/N) depend only on (N, r), so each circle
+is built once and cached as a read-only array: every table of the same
+size and radius shares it, and a closure that writes into its argument
+raises instead of corrupting the next table.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,6 +124,13 @@ def fft_points(n_max: int) -> int:
     return max(1 << 16, 8 * n_max)
 
 
+@functools.lru_cache(maxsize=4)
+def _circle(n_points: int, radius: float) -> np.ndarray:
+    circle = radius * np.exp(2j * np.pi * np.arange(n_points) / n_points)
+    circle.setflags(write=False)
+    return circle
+
+
 def extract_pmf(pgf, n_max: int, radius: float = DEFAULT_RADIUS, *, tol: float | None = None) -> PmfTable:
     """Extract atoms 0..n_max of a p.g.f. by DFT on the circle |z| = radius.
 
@@ -133,8 +146,7 @@ def extract_pmf(pgf, n_max: int, radius: float = DEFAULT_RADIUS, *, tol: float |
         raise ParameterError("radius must lie in (0, 1)")
     f = as_pgf_callable(pgf)
     n_points = fft_points(n_max)
-    circle = radius * np.exp(2j * np.pi * np.arange(n_points) / n_points)
-    values = np.asarray(f(circle), dtype=complex)
+    values = np.asarray(f(_circle(n_points, radius)), dtype=complex)
     ks = np.arange(n_max + 1)
     coeffs = np.fft.fft(values).real[: n_max + 1] / n_points / radius ** ks
 

