@@ -17,10 +17,6 @@ class IterationCapError(RuntimeError):
     """A sampling loop hit its hard iteration cap."""
 
 
-class InversionError(RuntimeError):
-    """Numerical inversion failed to converge; message carries the bracket."""
-
-
 class TableError(ValueError):
     """A probability mass table is unfit for sampling."""
 

@@ -19,10 +19,10 @@ and are cross-checked against each other in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     IterationCapError,
@@ -78,7 +78,10 @@ def make_rng(seed: Seed | int) -> np.random.Generator:
     """Philox generator keyed by (value, stream_id)."""
     if isinstance(seed, int):
         seed = Seed(seed)
-    return np.random.Generator(np.random.Philox(key=[seed.value, seed.stream_id]))
+    # an explicit uint64 key: a plain list holding a value >= 2^63 is
+    # converted through float64, which merges neighbouring seeds
+    key = np.array([seed.value, seed.stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +164,11 @@ def _sibuya_log_survival(k, p: float):
     # direct gammaln difference cancels catastrophically once gammaln(k)
     # outgrows the ~18-digit mantissa, so switch to the Stirling ratio
     # log Gamma(z+p) - log Gamma(z) = p log z + p(p-1)/(2z) - p/(12 z^2)
-    # + O(z^-3) (z = k+1-p), which is exact to ~1e-18 for k >= 1e6
+    # + O(z^-3) (z = k+1-p), which is exact to ~1e-18 for k >= 1e6.
+    # Imported here: only draws beyond the table need scipy.special,
+    # and it would be most of the package's import time
+    from scipy.special import gammaln
+
     k = np.asarray(k, dtype=float)
     z = k + 1.0 - p
     with np.errstate(invalid="ignore"):
@@ -177,8 +184,9 @@ def sibuya_rvs(family: Sibuya, rng: np.random.Generator, size: int) -> np.ndarra
     k <= 8192 and inverted with a binary search; draws falling beyond
     the table are resolved by bisection on the closed-form log-survival
     (log-gamma ratios), so the law is exact over the whole int64 range.
-    Draws beyond 2^61 (probability ~ 2^(-61 p)) raise
-    ``IterationCapError`` rather than silently overflowing.
+    Draws beyond 2^61 (probability ~ 2^(-61 p)/Gamma(1-p) per draw,
+    3.7e-10 at p = 1/2) raise ``IterationCapError`` rather than silently
+    overflowing.
     """
     p = family.p
     if size < 0:
@@ -192,6 +200,8 @@ def sibuya_rvs(family: Sibuya, rng: np.random.Generator, size: int) -> np.ndarra
     draws = np.searchsorted(-survival, -u, side="right").astype(np.float64)
     in_tail = draws > _SIBUYA_TABLE_SIZE
     if in_tail.any():
+        from scipy.special import gammaln
+
         u_tail = u[in_tail]
         log_u = np.log(u_tail)
         lo = np.full(u_tail.shape, float(_SIBUYA_TABLE_SIZE))
@@ -207,9 +217,10 @@ def sibuya_rvs(family: Sibuya, rng: np.random.Generator, size: int) -> np.ndarra
                 break
             hi[short] = np.minimum(hi[short] * 16.0, float(SIBUYA_VALUE_CAP))
         if (_sibuya_log_survival(hi, p) >= log_u).any():
+            tail = math.exp(-p * math.log(SIBUYA_VALUE_CAP) - math.lgamma(1.0 - p))
             raise IterationCapError(
                 f"sibuya draw exceeded the array sampler value cap 2^61 "
-                f"(tail probability ~ {float(SIBUYA_VALUE_CAP) ** -p:.2e})"
+                f"(tail probability ~ 2^(-61 p)/Gamma(1-p) = {tail:.2e} per draw)"
             )
         for _ in range(64):
             mid = np.floor(0.5 * (lo + hi))

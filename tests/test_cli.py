@@ -2,11 +2,15 @@
 schema, sweep parsing, and config merging."""
 
 import json
+import os
+import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casualstable import cli
 from casualstable.cli import fmt, main, parse_float_list, parse_int_range
 from casualstable.errors import ParameterError
 
@@ -176,6 +180,13 @@ def test_citations_tv_check_enforces_its_certificate(capsys):
     code, out, err = run(argv + ["--tv-atoms", "200"], capsys)
     assert code == 0
     assert out.splitlines()[-1].startswith("tv_check,")
+
+
+def test_citations_help_states_the_value_cap(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["citations", "--help"])
+    assert stop.value.code == 0
+    assert "beyond 2^61 is refused" in capsys.readouterr().out
 
 
 def test_citations_json_rows_parse(capsys):
@@ -362,6 +373,62 @@ def test_config_unknown_key_exits_two_naming_it(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "lamda" in err
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+CITATION_OPTIONS = {
+    "lam": FINITE,
+    "p": FINITE,
+    "q": FINITE,
+    "seed": st.integers(-(2 ** 70), 2 ** 70),
+    "stream": st.integers(0, 2 ** 64 - 1),
+    "replicates": st.integers(-5, 10 ** 6),
+    "tv_check": st.booleans(),
+    "tv_fields": st.integers(0, 10 ** 9),
+    "tv_atoms": st.integers(0, 10 ** 4),
+    "json": st.booleans(),
+}
+
+
+def _parsed_citations_namespace(argv) -> dict:
+    # the subcommand is replaced by a recorder, so only parsing runs
+    seen = {}
+
+    def record(args):
+        seen.update(vars(args))
+        del seen["func"]
+        return 0
+
+    with mock.patch.object(cli, "cmd_citations", record):
+        assert main(argv) == 0
+    return seen
+
+
+@given(values=st.fixed_dictionaries({}, optional=CITATION_OPTIONS), dashed=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_config_round_trips_to_the_flag_namespace(values, dashed):
+    # the same option values, once as config lines and once as flags,
+    # parse to the same namespace
+    parser = cli.build_parser()
+    (citations,) = [sub for sub in parser.subcommand_parsers if sub.prog.endswith(" citations")]
+    flag_of = {action.dest: action.option_strings[0] for action in citations._actions}
+    flags = []
+    lines = []
+    for dest, value in values.items():
+        key = dest.replace("_", "-") if dashed else dest
+        if isinstance(value, bool):
+            flags += [flag_of[dest]] if value else []
+            lines.append(f"{key} = {str(value).lower()}")
+        else:
+            flags.append(f"{flag_of[dest]}={value!r}")
+            lines.append(f"{key} = {value!r}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "citations.cfg")
+        with open(path, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+        from_config = _parsed_citations_namespace(["--config", path, "citations"])
+    from_flags = _parsed_citations_namespace(["citations", *flags])
+    assert from_config == from_flags
 
 
 def test_config_value_is_parsed_by_the_option_type(tmp_path, capsys):

@@ -1,6 +1,9 @@
 """Limit-theorem harness: the two sufficient conditions, the inverse
 normalizer, and transform-domain convergence of normalized sums."""
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -141,7 +144,8 @@ def test_g_inverse_gamma_closed_forms():
 
 def test_g_inverse_tempered_stable_bisection_matches_closed_form():
     # -log g_n(x) = s solves in closed form:
-    # x = h ((1 + n ((1+s/h)^alpha - 1))^(1/alpha) - 1)
+    # x = h ((1 + n ((1+s/h)^alpha - 1))^(1/alpha) - 1); g_inverse
+    # evaluates it through expm1/log1p, checked here against plain powers
     family = TemperedStable(1.0, 0.5, 1.0)
     s = default_conv_grid()
     x = g_inverse(family, 5, s)
@@ -150,6 +154,74 @@ def test_g_inverse_tempered_stable_bisection_matches_closed_form():
         - 1.0
     )
     assert np.max(np.abs(x - closed) / closed) < 1e-10
+
+
+ORACLE_ALPHAS = (1.0 / 2.0, 1.0 / 3.0, 1.0 / 5.0, 1.0 / 10.0)
+ORACLE_HS = (0.1, 1.0, 10.0)
+ORACLE_NS = (1, 2, 7, 128, 10 ** 5)
+ORACLE_S = np.append(default_conv_grid()[::9], default_conv_grid()[-1])
+ORACLE_ULPS = 8
+
+
+def _oracle_excess(inverse, family) -> float:
+    """Largest relative error against mpmath over ORACLE_NS x ORACLE_S,
+    in units of its bound: ORACLE_ULPS ulps times 1 + y, which bounds the
+    condition number y e^y / (e^y - 1) of the last step expm1(y),
+    y = log1p(n d)/alpha; the earlier steps each amplify by at most
+    about 1.  Above 1 means the check fails."""
+    eps = np.finfo(float).eps
+    worst = 0.0
+    with mpmath.workdps(40):
+        alpha, h = mpmath.mpf(family.alpha), mpmath.mpf(family.h)
+        for n in ORACLE_NS:
+            for value, s in zip(inverse(family, n, ORACLE_S), ORACLE_S):
+                w = n * ((1 + mpmath.mpf(s) / h) ** alpha - 1)
+                ref = h * mpmath.expm1(mpmath.log1p(w) / alpha)
+                bound = ORACLE_ULPS * eps * (1 + float(mpmath.log1p(w) / alpha))
+                worst = max(worst, float(abs(mpmath.mpf(value) - ref) / ref) / bound)
+    return worst
+
+
+def _wrong_exponent(family, n, s):
+    # mutant: alpha where 1/alpha belongs
+    d = np.expm1(family.alpha * np.log1p(s / family.h))
+    return family.h * np.expm1(np.log1p(n * d) * family.alpha)
+
+
+def _wrong_multiplier(family, n, s):
+    # mutant: (n-1) d where n d belongs
+    d = np.expm1(family.alpha * np.log1p(s / family.h))
+    return family.h * np.expm1(np.log1p((n - 1) * d) / family.alpha)
+
+
+def _alpha_id(alpha):
+    return f"alpha=1/{round(1 / alpha)}"
+
+
+@pytest.mark.parametrize("h", ORACLE_HS, ids=lambda h: f"h={h:g}")
+@pytest.mark.parametrize("alpha", ORACLE_ALPHAS, ids=_alpha_id)
+def test_g_inverse_tempered_stable_matches_mpmath(alpha, h):
+    assert _oracle_excess(g_inverse, TemperedStable(1.0, alpha, h)) <= 1.0
+
+
+@pytest.mark.parametrize("mutant", [_wrong_exponent, _wrong_multiplier], ids=["alpha-for-1/alpha", "n-1-for-n"])
+@pytest.mark.parametrize("alpha", ORACLE_ALPHAS, ids=_alpha_id)
+def test_g_inverse_oracle_catches_mutants(alpha, mutant):
+    assert _oracle_excess(mutant, TemperedStable(1.0, alpha, 1.0)) > 1.0
+
+
+@pytest.mark.parametrize("family", [Gamma(1.0, 1.0), TemperedStable(1.0, 0.1, 0.1)], ids=["gamma", "ts"])
+def test_g_inverse_overflows_to_inf_quietly(family):
+    # n = 1e5 at s = 1e300 leaves the double range on both branches; the
+    # inverse is inf, no RuntimeWarning escapes, and condition (b) reads
+    # the inf as a zero contribution
+    s = np.array([1e-6, 1e300, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = g_inverse(family, 10 ** 5, s)
+        (b_value,) = condition_b(family, 2.0, [10 ** 5], s)
+    assert np.isfinite(x[0]) and np.all(np.isinf(x[1:]))
+    assert np.isfinite(b_value)
 
 
 def test_g_inverse_round_trip():
@@ -223,8 +295,6 @@ def test_curve_warns_on_mismatched_mean():
 
 def test_curve_is_quiet_when_conditions_hold():
     family = Gamma(1.0, 2.0)
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         convergence_curve(matched_exponential(family), family, [2, 4])

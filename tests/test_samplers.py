@@ -4,8 +4,11 @@ Two-sample KS statistics are scaled by sqrt(nm/(n+m)); the 1e-3
 critical value of the scaled statistic is 1.9495.
 """
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from casualstable import (
     Example1,
@@ -59,6 +62,25 @@ def test_rng_determinism_and_stream_independence():
     assert not np.array_equal(a, c)
 
 
+SEED_PAIRS = st.tuples(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1))
+
+
+@given(first=SEED_PAIRS, second=SEED_PAIRS)
+@example(first=(0, 0), second=(0, 0))
+@example(first=(2 ** 64 - 1, 3), second=(2 ** 64 - 1, 3))
+@example(first=(1, 2), second=(2, 1))
+@example(first=(5, 0), second=(5, 1))
+@example(first=(2 ** 63 + 1, 5), second=(2 ** 63, 5))
+@example(first=(2 ** 64 - 2, 0), second=(2 ** 64 - 1, 0))
+@settings(max_examples=200, deadline=None)
+def test_seed_pairs_address_their_own_streams(first, second):
+    # equal (value, stream_id) pairs replay the same first draws; any
+    # other pair, the swapped one included, starts a different stream
+    a = make_rng(Seed(*first)).random(4)
+    b = make_rng(Seed(*second)).random(4)
+    assert np.array_equal(a, b) == (first == second)
+
+
 def test_geometric_support_and_mean():
     rng = make_rng(Seed(1, 0))
     x = geometric_rvs(Geometric(0.25), rng, 100_000)
@@ -107,6 +129,14 @@ def test_sibuya_value_cap():
     rng = make_rng(Seed(5, 0))
     with pytest.raises(IterationCapError, match="2\\^61"):
         sibuya_rvs(Sibuya(0.05), rng, 200)
+
+
+def test_sibuya_value_cap_message_states_the_tail_probability():
+    # S(k) ~ k^(-p)/Gamma(1-p), so the refused event has probability
+    # 2^(-61 p)/Gamma(1-p): 0.117 at p = 0.05, not 2^(-61 p) = 0.121
+    expected = float(mpmath.power(2, -61 * mpmath.mpf(0.05)) / mpmath.gamma(1 - mpmath.mpf(0.05)))
+    with pytest.raises(IterationCapError, match=f"= {expected:.2e} per draw"):
+        sibuya_rvs(Sibuya(0.05), make_rng(Seed(5, 0)), 200)
 
 
 def test_bulk_samplers_are_deterministic():
