@@ -1,27 +1,29 @@
 """End-to-end simulation of the publication/citation generative model.
 
 A field hosts N ~ Poisson(lam) scientists.  Each scientist writes a
-Geometric(q) number of papers and each paper collects a Sibuya-tailed
+Sibuya(p) number of papers and each paper collects a Geometric(q)
 number of citations; the per-author citation count follows the composed
 transform 1 - (1 - G(z))^p (``AuthorCitations``), and the field total is
-``FieldCitations``, a discrete stable law.  Because the per-author law
-has survival ~ k^(-p) with infinite mean for p < 1, sample means are
-dominated by a single extreme author while the median stays put: the
-summary statistics here (mean/median ratio, top-share, tail exponent,
-rank correlations across replicates) quantify how much of a
-citation-based ranking is noise.
+``FieldCitations``, a discrete stable law.  Bulk draws use the Beta
+mixture form of that composition: with W ~ Beta(p, 1-p) an author's
+count is Geometric(qW), so ``author_rvs`` and ``field_totals`` draw one
+Beta and one exponential per author (``samplers.author_citations_rvs``).
+Because the per-author law has survival ~ k^(-p) with infinite mean for
+p < 1, sample means are dominated by a single extreme author while the
+median stays put: the summary statistics here (mean/median ratio,
+top-share, tail exponent, rank correlations across replicates) quantify
+how much of a citation-based ranking is noise.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
 from .families import AuthorCitations, FieldCitations, Sibuya
-from .samplers import Seed, ex1_rvs, geometric_sums, make_rng, sample_sibuya, sibuya_rvs
+from .samplers import Seed, author_citations_rvs, ex1_rvs, make_rng, sample_sibuya
 
 __all__ = [
     "FieldSim",
@@ -107,16 +109,23 @@ def simulate_author(family: AuthorCitations, rng: np.random.Generator) -> int:
     the composed p.g.f. 1 - (1 - qz/(1-(1-q)z))^p.
     """
     papers = sample_sibuya(Sibuya(family.p), rng)
-    if family.q < 1.0 and papers <= 4096:
+    if family.q == 1.0:
+        return papers
+    if papers <= 4096:
         # one geometric draw per paper; covers ~99% of authors
         return int(rng.geometric(family.q, papers).sum())
-    return int(geometric_sums(papers, family.q, rng))
+    # k + NegativeBinomial(k, q) is a sum of k Geometric(q) draws
+    return int(papers + rng.negative_binomial(papers, family.q))
 
 
 def author_rvs(family: AuthorCitations, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Array of per-author citation counts (the bulk form of
-    ``simulate_author``; same law, inversion-based Sibuya draws)."""
-    return geometric_sums(sibuya_rvs(Sibuya(family.p), rng, size), family.q, rng)
+    """Array of per-author citation counts, the bulk form of ``simulate_author``.
+
+    Same law, drawn from its Beta mixture: Geometric(qW) with
+    W ~ Beta(p, 1-p), one Beta and one exponential per author
+    (``samplers.author_citations_rvs``).
+    """
+    return author_citations_rvs(family, rng, size)
 
 
 def _summarize(citations: np.ndarray) -> SimSummary:
@@ -182,16 +191,23 @@ def tail_exponent(samples, top_fraction: float = DEFAULT_TOP_FRACTION) -> float:
     return 1.0 / spacing
 
 
-def _spearman(x: np.ndarray, y: np.ndarray) -> float:
-    # imported here: scipy.stats costs about 1 s and 40 MB at import,
-    # and only ranking_instability needs it
-    from scipy import stats as sps
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    # the tie run of value j covers ranks end_j - count_j + 1 .. end_j
+    ends = np.cumsum(counts)
+    return (ends - 0.5 * (counts - 1))[inverse]
 
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho: Pearson's r of the average ranks."""
     if np.all(x == x[0]) or np.all(y == y[0]):
         return float("nan")  # ranks undefined for a constant vector
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return float(sps.spearmanr(x, y).statistic)
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
+    rx -= rx.mean()
+    ry -= ry.mean()
+    return float(rx @ ry / np.sqrt((rx @ rx) * (ry @ ry)))
 
 
 def ranking_instability(cfg: FieldSim, n_replicates: int) -> RankingReport:

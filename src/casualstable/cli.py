@@ -351,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     ci = sub.add_parser(
         "citations",
         help="simulate fields of the citation model",
-        epilog="A Sibuya draw beyond 2^61 is refused: the run exits 1 with a value-cap message. "
-        "The chance is about 2^(-61 p)/Gamma(1-p) per draw, one draw in 2.7e9 at p = 0.5.",
+        epilog="An author's citation count beyond 2^61 is refused: the run exits 1 with a value-cap message. "
+        "The chance is about (q 2^61)^(-p)/Gamma(1-p) per draw, one draw in 1.9e9 at p = q = 0.5.",
     )
     ci.add_argument("--lambda", dest="lam", type=float, default=100.0)
     ci.add_argument("--p", type=float, default=0.5)

@@ -12,9 +12,14 @@ generative mechanism itself (a paper with k-1 citations stops being
 cited with probability p/k), which is exact but heavy-tailed in running
 time, so it carries a hard iteration cap.  ``sibuya_rvs`` draws whole
 arrays by inverting the survival function (cumulative-product table for
-the bulk, bisection on the log-survival for the tail) and is used
-wherever millions of draws are needed; the two agree in distribution
-and are cross-checked against each other in the tests.
+the bulk, bisection on the log-survival for the tail); the two agree in
+distribution and are cross-checked against each other in the tests.
+
+The citation laws never search a table: the Sibuya law is a Beta
+mixture of geometrics, so a Sibuya(p) many Geometric(q) sum
+(``AuthorCitations``) is one Geometric(qW) draw with W ~ Beta(p, 1-p).
+``author_citations_rvs`` draws it as one Beta and one exponential per
+value, and ``ex1_rvs`` draws every compound-Poisson jump through it.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .errors import (
     UnsupportedError,
 )
 from .extraction import PmfTable
-from .families import Example1, Geometric, Sibuya, SvhStable, TemperedStable
+from .families import AuthorCitations, Example1, Geometric, Sibuya, SvhStable, TemperedStable
 
 __all__ = [
     "Seed",
@@ -41,7 +46,7 @@ __all__ = [
     "thin_general",
     "geometric_rvs",
     "sibuya_rvs",
-    "geometric_sums",
+    "author_citations_rvs",
     "svh_rvs",
     "ex1_rvs",
     "inverse_gaussian_rvs",
@@ -50,7 +55,7 @@ __all__ = [
 
 SIBUYA_ITERATION_CAP = 10 ** 9
 # array sampler cap: largest value the int64 pipeline handles safely
-SIBUYA_VALUE_CAP = 2 ** 61
+VALUE_CAP = 2 ** 61
 _SIBUYA_TABLE_SIZE = 8192
 _SIBUYA_BLOCK = 1 << 16
 _MAX_TABLE_DEFICIT = 1e-6
@@ -159,6 +164,18 @@ def geometric_rvs(family: Geometric, rng: np.random.Generator, size: int) -> np.
     return rng.geometric(family.q, size).astype(np.int64)
 
 
+def _cap_tail(p: float, q: float) -> float:
+    """P(X > 2^61) per draw for X ~ AuthorCitations(p, q); q = 1 is Sibuya(p).
+
+    E[(1 - qW)^N] with N = 2^61 and W ~ Beta(p, 1-p); W has density
+    ~ w^(p-1)/(Gamma(p) Gamma(1-p)) near 0, so the tail is asymptotically
+    (q N)^(-p)/Gamma(1-p).  At p = 1, W = 1 and the tail is (1-q)^N.
+    """
+    if p == 1.0:
+        return math.exp(VALUE_CAP * math.log1p(-q)) if q < 1.0 else 0.0
+    return min(1.0, math.exp(-p * math.log(q * VALUE_CAP) - math.lgamma(1.0 - p)))
+
+
 def _sibuya_log_survival(k, p: float):
     # log P(X > k) = log [ Gamma(k+1-p) / (Gamma(1-p) Gamma(k+1)) ]; the
     # direct gammaln difference cancels catastrophically once gammaln(k)
@@ -209,18 +226,17 @@ def sibuya_rvs(family: Sibuya, rng: np.random.Generator, size: int) -> np.ndarra
         # asymptotic quantile and widen geometrically if needed
         hi = np.minimum(
             np.maximum(2.0 * (u_tail * np.exp(gammaln(1.0 - p))) ** (-1.0 / p), 4.0 * _SIBUYA_TABLE_SIZE),
-            float(SIBUYA_VALUE_CAP),
+            float(VALUE_CAP),
         )
         for _ in range(8):
             short = _sibuya_log_survival(hi, p) >= log_u
             if not short.any():
                 break
-            hi[short] = np.minimum(hi[short] * 16.0, float(SIBUYA_VALUE_CAP))
+            hi[short] = np.minimum(hi[short] * 16.0, float(VALUE_CAP))
         if (_sibuya_log_survival(hi, p) >= log_u).any():
-            tail = math.exp(-p * math.log(SIBUYA_VALUE_CAP) - math.lgamma(1.0 - p))
             raise IterationCapError(
                 f"sibuya draw exceeded the array sampler value cap 2^61 "
-                f"(tail probability ~ 2^(-61 p)/Gamma(1-p) = {tail:.2e} per draw)"
+                f"(tail probability ~ 2^(-61 p)/Gamma(1-p) = {_cap_tail(p, 1.0):.2e} per draw)"
             )
         for _ in range(64):
             mid = np.floor(0.5 * (lo + hi))
@@ -241,28 +257,54 @@ def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return prefix[boundaries[1:]] - prefix[boundaries[:-1]]
 
 
-def geometric_sums(counts, q: float, rng: np.random.Generator):
-    """Sum of k independent Geometric(q) draws for each count k.
+def author_citations_rvs(family: AuthorCitations, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Array of AuthorCitations(p, q) draws: Sibuya(p) many Geometric(q) each.
 
-    Drawn as k + NegativeBinomial(k, q), so a count of 10^9 never
-    allocates 10^9 draws; q = 1 returns the counts and draws nothing.
+    The Sibuya law is a Beta mixture of geometrics: for W ~ Beta(p, 1-p),
+    E[(1-z)/(1-z+Wz)] = (1-z)^p, because 2F1(1, p; 1; -c) = (1+c)^(-p).
+    A Geometric(W) sum of Geometric(q) draws is Geometric(qW), so each
+    value is X = 1 + floor(E / -log(1 - qW)) with E standard exponential:
+    one Beta and one exponential per draw, all W first, then all E.  At
+    p = 1, W = 1 and no Beta is drawn.  Draws beyond 2^61 (probability
+    ~ (q 2^61)^(-p)/Gamma(1-p) per draw, 5.25e-10 at p = q = 1/2) raise
+    ``IterationCapError`` rather than silently overflowing int64.
     """
-    if q == 1.0:
-        return counts
-    return counts + rng.negative_binomial(counts, q)
+    p, q = family.p, family.q
+    if size < 0:
+        raise ParameterError("size must be nonnegative")
+    w = np.ones(size) if p == 1.0 else rng.beta(p, 1.0 - p, size)
+    e = rng.standard_exponential(size)
+    # in place: e becomes floor(E / rate) with rate = -log(1 - qW); qW = 1
+    # gives rate inf and X = 1, a W that underflows to 0 or a subnormal
+    # gives an infinite value, refused below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.multiply(w, -q, out=w)
+        np.log1p(w, out=w)
+        np.divide(e, w, out=e)
+        np.negative(e, out=e)
+        np.floor(e, out=e)
+    # written so that a NaN (E = 0 over rate 0) is refused too
+    if size and not e.max() < VALUE_CAP:
+        raise IterationCapError(
+            f"citation draw exceeded the array sampler value cap 2^61 "
+            f"(tail probability ~ (q 2^61)^(-p)/Gamma(1-p) = {_cap_tail(p, q):.2e} per draw)"
+        )
+    draws = e.astype(np.int64)
+    draws += 1
+    return draws
 
 
 def ex1_rvs(family: Example1, rng: np.random.Generator, size: int) -> np.ndarray:
     """Array sampler for exp{-lam ((1-z^m)/(1-kappa z^m))^gamma}.
 
-    Compound Poisson: Poisson(lam) many jumps, each m times a sum of
-    Sibuya(gamma) many Geometric(1-kappa) draws, because
-    1 - ((1-w)/(1-kappa w))^gamma is that compound's p.g.f. at w = z^m.
+    Compound Poisson: Poisson(lam) many jumps, each m times an
+    ``AuthorCitations(gamma, 1-kappa)`` draw (a Sibuya(gamma) many
+    Geometric(1-kappa) sum), because 1 - ((1-w)/(1-kappa w))^gamma is
+    that law's p.g.f. at w = z^m.
     """
     counts = rng.poisson(family.lam, size)
-    papers = sibuya_rvs(Sibuya(family.gamma), rng, int(counts.sum()))
-    papers = geometric_sums(papers, 1.0 - family.kappa, rng)
-    return family.m * _segment_sums(papers, counts)
+    jumps = author_citations_rvs(AuthorCitations(family.gamma, 1.0 - family.kappa), rng, int(counts.sum()))
+    return family.m * _segment_sums(jumps, counts)
 
 
 def svh_rvs(family: SvhStable, rng: np.random.Generator, size: int) -> np.ndarray:

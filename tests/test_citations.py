@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from casualstable import (
     AuthorCitations,
@@ -25,6 +28,7 @@ from casualstable import (
     thin_general,
     top_share,
 )
+from casualstable.citations import _spearman
 
 # author p.g.f. 1 - (1 - qz/(1-(1-q)z))^p at p = q = 1/2, mpmath dps=60
 AUTHOR_PGF = {0.2: 0.057190958417936634, 0.5: 0.18350341907227397, 0.8: 0.42264973081037424}
@@ -155,3 +159,19 @@ def test_ranking_is_pure_chance():
     assert (report.mean_median_ratios > 1.0).all()
     with pytest.raises(ParameterError):
         ranking_instability(FieldSim(FieldCitations(10.0, 0.5, 0.5), Seed(0)), 1)
+
+
+TIED_PAIRS = st.integers(2, 300).flatmap(
+    lambda n: st.tuples(*[st.lists(st.integers(0, 4), min_size=n, max_size=n) for _ in range(2)])
+)
+
+
+@given(TIED_PAIRS)
+@settings(max_examples=300, deadline=None)
+def test_spearman_matches_scipy_on_tied_integers(pair):
+    x, y = (np.array(v, dtype=np.int64) for v in pair)
+    rho = _spearman(x, y)
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        assert np.isnan(rho)
+    else:
+        assert abs(rho - stats.spearmanr(x, y).statistic) <= 1e-12

@@ -189,6 +189,18 @@ def test_citations_help_states_the_value_cap(capsys):
     assert "beyond 2^61 is refused" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 9])
+def test_citations_small_q_refuses_or_succeeds(seed, capsys):
+    # at p = 0.2, q = 1e-6 about 0.29% of authors exceed 2^61, so most
+    # runs of ~1000 authors are refused (seed 9 is not); none may end in
+    # an uncaught error
+    code, out, err = run(
+        ["citations", "--lambda", "1000", "--p", "0.2", "--q", "1e-6", "--replicates", "1", "--seed", str(seed)],
+        capsys,
+    )
+    assert (code, err) == (0, "") or (code == 1 and "value cap" in err)
+
+
 def test_citations_json_rows_parse(capsys):
     code, out, err = run(
         ["citations", "--lambda", "10", "--replicates", "2", "--json", "--seed", "3"],

@@ -1,6 +1,6 @@
 """Every exported name resolves: ``__all__`` of the package and of each
-module; importing the package leaves the heavy ``scipy.stats`` and
-``scipy.special`` unloaded."""
+module; importing the package, and drawing citations, leaves the heavy
+``scipy.stats`` and ``scipy.special`` unloaded."""
 
 import importlib
 import os
@@ -30,10 +30,27 @@ def _loaded_after(code: str) -> str:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about 1 s and 40 MB at import; only the rank
-    # correlation in ranking_instability needs it, so it loads on first use.
+    # scipy.stats costs about 1 s and 40 MB at import and nothing uses it;
     # scipy.special (about 0.3 s) serves only Sibuya draws beyond the table
     assert _loaded_after("") == "False False"
+
+
+def test_citation_draws_load_no_scipy():
+    # author and field draws come from the Beta mixture and never reach
+    # the Sibuya table; at lam = 5e4 the inversion sampler would take
+    # about 310 tail draws, and 2.5e5 fields about 1550
+    code = (
+        "from casualstable import FieldCitations, FieldSim, Seed, field_totals, ranking_instability, simulate_field\n"
+        "simulate_field(FieldSim(FieldCitations(5e4, 0.5, 0.5), Seed(1)))\n"
+        "field_totals(FieldSim(FieldCitations(1.0, 0.5, 0.5), Seed(2)), 250_000)\n"
+        "ranking_instability(FieldSim(FieldCitations(500.0, 0.5, 0.5), Seed(3)), 4)"
+    )
+    assert _loaded_after(code) == "False False"
+
+
+def test_scipy_stats_probe_sees_an_import():
+    # negative control for the scipy.stats half of the probe
+    assert _loaded_after("import scipy.stats") == "True True"
 
 
 def test_sibuya_tail_draw_loads_scipy_special():

@@ -4,6 +4,8 @@ Two-sample KS statistics are scaled by sqrt(nm/(n+m)); the 1e-3
 critical value of the scaled statistic is 1.9495.
 """
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casualstable import (
+    AuthorCitations,
     Example1,
     Geometric,
     IterationCapError,
@@ -33,6 +36,7 @@ from casualstable import (
     svh_rvs,
     thin_general,
 )
+from casualstable.samplers import author_citations_rvs
 
 KS_CRIT = 1.9495  # scaled two-sample KS at the 1e-3 level
 
@@ -137,6 +141,133 @@ def test_sibuya_value_cap_message_states_the_tail_probability():
     expected = float(mpmath.power(2, -61 * mpmath.mpf(0.05)) / mpmath.gamma(1 - mpmath.mpf(0.05)))
     with pytest.raises(IterationCapError, match=f"= {expected:.2e} per draw"):
         sibuya_rvs(Sibuya(0.05), make_rng(Seed(5, 0)), 200)
+
+
+# -- AuthorCitations from its Beta mixture ---------------------------------
+
+ORACLE_CASES = [(0.5, 0.5), (0.7, 0.3), (0.2, 0.9), (1.0, 0.4)]
+ORACLE_DRAWS = 10 ** 6
+ORACLE_DEPTH = 60
+ORACLE_BLOCK = 1000
+
+
+def exact_cap_tail(p, q):
+    """P(X > 2^61) for X ~ AuthorCitations(p, q), by mpmath quadrature.
+
+    X is Geometric(qW) with W ~ Beta(p, 1-p), so P(X > N) = E[(1-qW)^N].
+    Substituting W = t/(qN) and t = s^(1/p) absorbs W's w^(p-1)
+    singularity; the integrand beyond t = 200 is below e^-200, so this
+    needs qN > 200 when p < 1.
+    """
+    with mpmath.workdps(30):
+        p, q, n = mpmath.mpf(p), mpmath.mpf(q), mpmath.mpf(2) ** 61
+        if p == 1:
+            return (1 - q) ** n
+        scale = q * n
+
+        def integrand(s):
+            t = s ** (1 / p)
+            return mpmath.exp(n * mpmath.log1p(-t / n)) * (1 - t / scale) ** (-p)
+
+        ends = [mpmath.mpf(t) ** p for t in (0, 1, 10, 100, 200)]
+        return mpmath.quad(integrand, ends) * scale ** (-p) / (p * mpmath.beta(p, 1 - p))
+
+
+def uncapped_draws(draw, n):
+    """n draws taken in blocks; a block refused at the value cap is dropped.
+
+    Blocks are independent, so the kept draws are i.i.d. from the law
+    conditioned on X <= 2^61.
+    """
+    kept = []
+    while len(kept) * ORACLE_BLOCK < n:
+        try:
+            kept.append(draw(ORACLE_BLOCK))
+        except IterationCapError:
+            pass
+    return np.concatenate(kept)[:n]
+
+
+def oracle_misses(draws, p, q):
+    """Atoms 0..60 and P(X > 60) that miss the exact table by more than
+    6 sigma + tol_neg; the table is conditioned on X <= 2^61 like the draws."""
+    table = extract_pmf(AuthorCitations(p, q), ORACLE_DEPTH)
+    cap = float(exact_cap_tail(p, q))
+    expected = np.append(table.masses, table.mass_deficit - cap) / (1.0 - cap)
+    observed = np.append(
+        np.bincount(draws[draws <= ORACLE_DEPTH], minlength=ORACLE_DEPTH + 1),
+        np.count_nonzero(draws > ORACLE_DEPTH),
+    ) / draws.size
+    f = np.clip(expected, 0.0, 1.0)
+    bound = 6.0 * np.sqrt(f * (1.0 - f) / draws.size) + table.tol_neg
+    return np.flatnonzero(np.abs(observed - expected) > bound)
+
+
+class _SymmetricBetaRng:
+    """Generator proxy whose beta(a, b) draws Beta(a, a): the Beta(p, p) mutant."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def beta(self, a, b, size):
+        return self._rng.beta(a, a, size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("p, q", ORACLE_CASES)
+def test_author_citations_match_the_exact_table(p, q):
+    rng = make_rng(Seed(41, 0))
+    draws = uncapped_draws(lambda size: author_citations_rvs(AuthorCitations(p, q), rng, size), ORACLE_DRAWS)
+    assert draws.dtype == np.int64
+    assert oracle_misses(draws, p, q).size == 0
+
+
+def test_author_citations_oracle_catches_mutants():
+    # Beta(p, p) for Beta(p, 1-p) changes the law wherever p is not 1/2
+    # (at p = 1 no Beta is drawn); W for qW changes it wherever q < 1
+    for p, q in ORACLE_CASES:
+        rng = _SymmetricBetaRng(make_rng(Seed(41, 1)))
+        draws = uncapped_draws(lambda size: author_citations_rvs(AuthorCitations(p, q), rng, size), ORACLE_DRAWS)
+        assert (oracle_misses(draws, p, q).size > 0) == (p not in (0.5, 1.0))
+        rng = make_rng(Seed(41, 2))
+        draws = uncapped_draws(lambda size: author_citations_rvs(AuthorCitations(p, 1.0), rng, size), ORACLE_DRAWS)
+        assert oracle_misses(draws, p, q).size > 0
+
+
+def test_author_citations_edges_are_exact_and_quiet():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # qW = 1: the rate -log(1 - qW) is infinite and every draw is 1
+        assert (author_citations_rvs(AuthorCitations(1.0, 1.0), make_rng(Seed(6)), 1000) == 1).all()
+        # p = 1: W = 1 and no Beta is drawn, so the stream is a plain Geometric(q)
+        x = author_citations_rvs(AuthorCitations(1.0, 0.4), make_rng(Seed(6)), 1000)
+        e = make_rng(Seed(6)).standard_exponential(1000)
+        assert np.array_equal(x, 1 + np.floor(e / -np.log1p(-0.4)).astype(np.int64))
+        assert author_citations_rvs(AuthorCitations(0.5, 0.5), make_rng(Seed(6)), 0).shape == (0,)
+    with pytest.raises(ParameterError):
+        author_citations_rvs(AuthorCitations(0.5, 0.5), make_rng(Seed(6)), -1)
+
+
+def test_author_citations_value_cap_message_states_the_tail_probability():
+    # P(X > 2^61) ~ (q 2^61)^(-p)/Gamma(1-p): 0.121 at p = 0.05, q = 1/2,
+    # and the documented 5.25e-10 per draw, one in 1.9e9, at p = q = 1/2
+    rate = float(exact_cap_tail(0.5, 0.5))
+    assert f"{rate:.2e}" == "5.25e-10" and f"{1.0 / rate:.1e}" == "1.9e+09"
+    expected = float(exact_cap_tail(0.05, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IterationCapError, match=f"value cap 2\\^61 .* = {expected:.2e} per draw"):
+            author_citations_rvs(AuthorCitations(0.05, 0.5), make_rng(Seed(5, 0)), 200)
+        # at p = 0.01 some Beta draws underflow to W = 0, an infinite value
+        assert (make_rng(Seed(5, 1)).beta(0.01, 0.99, 10 ** 4) == 0.0).any()
+        with pytest.raises(IterationCapError, match="value cap 2\\^61"):
+            author_citations_rvs(AuthorCitations(0.01, 0.5), make_rng(Seed(5, 1)), 10 ** 4)
+        # at p = 1 the law is Geometric(q), whose tail (1-q)^(2^61) has no Gamma(1-p)
+        expected = float(exact_cap_tail(1.0, 1e-19))
+        with pytest.raises(IterationCapError, match=f"= {expected:.2e} per draw"):
+            author_citations_rvs(AuthorCitations(1.0, 1e-19), make_rng(Seed(5, 2)), 100)
 
 
 def test_bulk_samplers_are_deterministic():
