@@ -10,16 +10,14 @@ the family is constructed.
 Two Sibuya samplers are provided.  ``sample_sibuya`` runs the
 generative mechanism itself (a paper with k-1 citations stops being
 cited with probability p/k), which is exact but heavy-tailed in running
-time, so it carries a hard iteration cap.  ``sibuya_rvs`` draws whole
-arrays by inverting the survival function (cumulative-product table for
-the bulk, bisection on the log-survival for the tail); the two agree in
-distribution and are cross-checked against each other in the tests.
-
-The citation laws never search a table: the Sibuya law is a Beta
-mixture of geometrics, so a Sibuya(p) many Geometric(q) sum
-(``AuthorCitations``) is one Geometric(qW) draw with W ~ Beta(p, 1-p).
-``author_citations_rvs`` draws it as one Beta and one exponential per
-value, and ``ex1_rvs`` draws every compound-Poisson jump through it.
+time, so it carries a hard iteration cap; the tests keep it as the
+sequential reference for the bulk law.  Every array draw of a Sibuya or
+citation law comes from one Beta mixture of geometrics: a Sibuya(p)
+many Geometric(q) sum (``AuthorCitations``) is one Geometric(qW) draw
+with W ~ Beta(p, 1-p).  ``author_citations_rvs`` draws it as one Beta
+and one exponential per value, ``sibuya_rvs`` is its q = 1 case and
+``ex1_rvs`` draws every compound-Poisson jump through it, so no sampler
+searches a table and the value cap lives in one place.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ __all__ = [
 SIBUYA_ITERATION_CAP = 10 ** 9
 # array sampler cap: largest value the int64 pipeline handles safely
 VALUE_CAP = 2 ** 61
-_SIBUYA_TABLE_SIZE = 8192
 _SIBUYA_BLOCK = 1 << 16
 _MAX_TABLE_DEFICIT = 1e-6
 
@@ -176,79 +173,6 @@ def _cap_tail(p: float, q: float) -> float:
     return min(1.0, math.exp(-p * math.log(q * VALUE_CAP) - math.lgamma(1.0 - p)))
 
 
-def _sibuya_log_survival(k, p: float):
-    # log P(X > k) = log [ Gamma(k+1-p) / (Gamma(1-p) Gamma(k+1)) ]; the
-    # direct gammaln difference cancels catastrophically once gammaln(k)
-    # outgrows the ~18-digit mantissa, so switch to the Stirling ratio
-    # log Gamma(z+p) - log Gamma(z) = p log z + p(p-1)/(2z) - p/(12 z^2)
-    # + O(z^-3) (z = k+1-p), which is exact to ~1e-18 for k >= 1e6.
-    # Imported here: only draws beyond the table need scipy.special,
-    # and it would be most of the package's import time
-    from scipy.special import gammaln
-
-    k = np.asarray(k, dtype=float)
-    z = k + 1.0 - p
-    with np.errstate(invalid="ignore"):
-        exact = gammaln(z) - gammaln(k + 1.0)
-    asymptotic = -(p * np.log(z) + p * (p - 1.0) / (2.0 * z) - p / (12.0 * z * z))
-    return np.where(k < 1e6, exact, asymptotic) - gammaln(1.0 - p)
-
-
-def sibuya_rvs(family: Sibuya, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Array of Sibuya(p) draws by exact inversion of the survival function.
-
-    The survival values S(k) = prod_{j<=k} (1 - p/j) are tabulated for
-    k <= 8192 and inverted with a binary search; draws falling beyond
-    the table are resolved by bisection on the closed-form log-survival
-    (log-gamma ratios), so the law is exact over the whole int64 range.
-    Draws beyond 2^61 (probability ~ 2^(-61 p)/Gamma(1-p) per draw,
-    3.7e-10 at p = 1/2) raise ``IterationCapError`` rather than silently
-    overflowing.
-    """
-    p = family.p
-    if size < 0:
-        raise ParameterError("size must be nonnegative")
-    if p == 1.0:
-        return np.ones(size, dtype=np.int64)
-    u = rng.random(size)
-    steps = np.arange(1, _SIBUYA_TABLE_SIZE + 1, dtype=float)
-    survival = np.concatenate([[1.0], np.cumprod(1.0 - p / steps)])
-    # S is decreasing: X = min{k : S(k) < u}; search on -S keeps it sorted
-    draws = np.searchsorted(-survival, -u, side="right").astype(np.float64)
-    in_tail = draws > _SIBUYA_TABLE_SIZE
-    if in_tail.any():
-        from scipy.special import gammaln
-
-        u_tail = u[in_tail]
-        log_u = np.log(u_tail)
-        lo = np.full(u_tail.shape, float(_SIBUYA_TABLE_SIZE))
-        # S(k) ~ k^(-p)/Gamma(1-p): start the upper bracket at twice the
-        # asymptotic quantile and widen geometrically if needed
-        hi = np.minimum(
-            np.maximum(2.0 * (u_tail * np.exp(gammaln(1.0 - p))) ** (-1.0 / p), 4.0 * _SIBUYA_TABLE_SIZE),
-            float(VALUE_CAP),
-        )
-        for _ in range(8):
-            short = _sibuya_log_survival(hi, p) >= log_u
-            if not short.any():
-                break
-            hi[short] = np.minimum(hi[short] * 16.0, float(VALUE_CAP))
-        if (_sibuya_log_survival(hi, p) >= log_u).any():
-            raise IterationCapError(
-                f"sibuya draw exceeded the array sampler value cap 2^61 "
-                f"(tail probability ~ 2^(-61 p)/Gamma(1-p) = {_cap_tail(p, 1.0):.2e} per draw)"
-            )
-        for _ in range(64):
-            mid = np.floor(0.5 * (lo + hi))
-            above = _sibuya_log_survival(mid, p) >= log_u
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-            if np.all(hi - lo <= 1.0):
-                break
-        draws[in_tail] = hi
-    return draws.astype(np.int64)
-
-
 def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum consecutive runs of ``values`` with run lengths ``counts``."""
     boundaries = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -286,12 +210,23 @@ def author_citations_rvs(family: AuthorCitations, rng: np.random.Generator, size
     # written so that a NaN (E = 0 over rate 0) is refused too
     if size and not e.max() < VALUE_CAP:
         raise IterationCapError(
-            f"citation draw exceeded the array sampler value cap 2^61 "
+            f"draw exceeded the array sampler value cap 2^61 "
             f"(tail probability ~ (q 2^61)^(-p)/Gamma(1-p) = {_cap_tail(p, q):.2e} per draw)"
         )
     draws = e.astype(np.int64)
     draws += 1
     return draws
+
+
+def sibuya_rvs(family: Sibuya, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Array of Sibuya(p) draws: ``author_citations_rvs`` at q = 1.
+
+    Sibuya(p) is AuthorCitations(p, 1), so each value is Geometric(W)
+    with W ~ Beta(p, 1-p), exact over the whole int64 range.  Draws
+    beyond 2^61 (probability ~ 2^(-61 p)/Gamma(1-p) per draw, 3.7e-10 at
+    p = 1/2) raise ``IterationCapError`` rather than silently overflowing.
+    """
+    return author_citations_rvs(AuthorCitations(family.p, 1.0), rng, size)
 
 
 def ex1_rvs(family: Example1, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -1,12 +1,16 @@
 """Every exported name resolves: ``__all__`` of the package and of each
-module; importing the package, and drawing citations, leaves the heavy
-``scipy.stats`` and ``scipy.special`` unloaded."""
+module; importing the package, and drawing citations or Sibuya values,
+leaves ``scipy.stats`` and ``scipy.special`` unloaded; and the package
+imports no third-party module beyond its declared runtime dependencies."""
 
+import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,15 +34,13 @@ def _loaded_after(code: str) -> str:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about 1 s and 40 MB at import and nothing uses it;
-    # scipy.special (about 0.3 s) serves only Sibuya draws beyond the table
+    # scipy.stats costs about 1 s and 40 MB at import, scipy.special about
+    # 0.3 s, and the package uses neither
     assert _loaded_after("") == "False False"
 
 
 def test_citation_draws_load_no_scipy():
-    # author and field draws come from the Beta mixture and never reach
-    # the Sibuya table; at lam = 5e4 the inversion sampler would take
-    # about 310 tail draws, and 2.5e5 fields about 1550
+    # author and field draws come from the Beta mixture, heavy tails included
     code = (
         "from casualstable import FieldCitations, FieldSim, Seed, field_totals, ranking_instability, simulate_field\n"
         "simulate_field(FieldSim(FieldCitations(5e4, 0.5, 0.5), Seed(1)))\n"
@@ -53,11 +55,51 @@ def test_scipy_stats_probe_sees_an_import():
     assert _loaded_after("import scipy.stats") == "True True"
 
 
-def test_sibuya_tail_draw_loads_scipy_special():
-    # negative control for the import check: 10^4 Sibuya(0.5) draws pass
-    # the 8192-entry table with probability 1 - (1 - 0.0062)^10^4 ~ 1 - 1e-27
+def test_sibuya_tail_draws_load_no_scipy():
+    # 10^4 Sibuya(0.5) draws exceed 8192 with probability
+    # 1 - (1 - 0.0062)^10^4 ~ 1 - 1e-27; the tail needs no scipy.special
     code = (
         "from casualstable import Seed, Sibuya, make_rng, sibuya_rvs\n"
         "assert sibuya_rvs(Sibuya(0.5), make_rng(Seed(1)), 10 ** 4).max() > 8192"
     )
-    assert _loaded_after(code) == "False True"
+    assert _loaded_after(code) == "False False"
+
+
+def test_scipy_special_probe_sees_an_import():
+    # negative control for the scipy.special half of the probe
+    assert _loaded_after("import scipy.special") == "False True"
+
+
+# -- declared runtime dependencies -----------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "casualstable"
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level names of the absolute imports in ``source``, function-local
+    ones included, that are neither standard library nor the package."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"casualstable"}
+
+
+def declared_dependencies() -> set[str]:
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in project["dependencies"]}
+
+
+def test_package_imports_only_its_declared_dependencies():
+    imported = set().union(*(third_party_imports(path.read_text()) for path in PACKAGE.glob("*.py")))
+    assert imported == declared_dependencies()
+
+
+def test_import_collector_sees_a_function_local_import():
+    # negative control: an import inside a function body is still collected
+    source = "import math\nfrom . import errors\n\ndef f():\n    from scipy.special import gammaln\n    return gammaln\n"
+    assert third_party_imports(source) == {"scipy"}

@@ -97,7 +97,7 @@ def test_geometric_support_and_mean():
 
 
 def test_sibuya_scalar_vs_bulk_same_law():
-    # the sequential mechanism and the inversion sampler must agree
+    # the sequential mechanism and the Beta-mixture sampler must agree
     n = 20_000
     r1, r2 = make_rng(Seed(11, 0)), make_rng(Seed(11, 1))
     scalar = np.array([sample_sibuya(Sibuya(0.5), r1) for _ in range(n)])
@@ -114,7 +114,7 @@ def test_sibuya_pmf_and_survival():
         emp = (x == k).mean()
         se = np.sqrt(pk * (1 - pk) / len(x))
         assert abs(emp - pk) < 4 * se
-    # survival beyond the inversion table region, frozen mpmath value
+    # survival at 10, frozen mpmath value
     surv10 = 0.17619705200195313
     emp = (x > 10).mean()
     assert abs(emp - surv10) < 4 * np.sqrt(surv10 * (1 - surv10) / len(x))
@@ -128,8 +128,8 @@ def test_sibuya_iteration_cap():
 
 
 def test_sibuya_value_cap():
-    # p = 0.05 puts ~12% of the mass beyond 2^61, so the inversion
-    # sampler must refuse rather than return a truncated draw
+    # p = 0.05 puts ~12% of the mass beyond 2^61, so the sampler must
+    # refuse rather than return a truncated draw
     rng = make_rng(Seed(5, 0))
     with pytest.raises(IterationCapError, match="2\\^61"):
         sibuya_rvs(Sibuya(0.05), rng, 200)
@@ -268,6 +268,42 @@ def test_author_citations_value_cap_message_states_the_tail_probability():
         expected = float(exact_cap_tail(1.0, 1e-19))
         with pytest.raises(IterationCapError, match=f"= {expected:.2e} per draw"):
             author_citations_rvs(AuthorCitations(1.0, 1e-19), make_rng(Seed(5, 2)), 100)
+
+
+SIBUYA_TAIL_KS = (8192, 10 ** 5, 10 ** 7)
+
+
+def sibuya_survival(k, p):
+    """P(X > k) = Gamma(k+1-p)/(Gamma(1-p) Gamma(k+1)) for X ~ Sibuya(p), by mpmath."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        return mpmath.exp(mpmath.loggamma(k + 1 - p) - mpmath.loggamma(1 - p) - mpmath.loggamma(k + 1))
+
+
+def sibuya_tail_z(draws, p):
+    """z-scores of the observed P(X > k), k in SIBUYA_TAIL_KS, against the
+    exact survival conditioned on X <= 2^61 like the draws."""
+    cap = sibuya_survival(2 ** 61, p)
+    z = []
+    for k in SIBUYA_TAIL_KS:
+        f = float((sibuya_survival(k, p) - cap) / (1 - cap))
+        z.append((np.count_nonzero(draws > k) / draws.size - f) / np.sqrt(f * (1.0 - f) / draws.size))
+    return np.array(z)
+
+
+def test_sibuya_far_tail_matches_the_exact_survival():
+    # k up to 10^7: the far tail, where the pmf and KS checks see few draws
+    rng = make_rng(Seed(43, 0))
+    draws = uncapped_draws(lambda size: sibuya_rvs(Sibuya(0.3), rng, size), ORACLE_DRAWS)
+    assert np.abs(sibuya_tail_z(draws, 0.3)).max() <= 6.0
+
+
+def test_sibuya_far_tail_oracle_catches_the_symmetric_beta_mutant():
+    # Beta(0.3, 0.3) for Beta(0.3, 0.7) puts less mass on small W, so
+    # fewer draws land in the far tail
+    rng = _SymmetricBetaRng(make_rng(Seed(43, 1)))
+    draws = uncapped_draws(lambda size: sibuya_rvs(Sibuya(0.3), rng, size), ORACLE_DRAWS)
+    assert np.abs(sibuya_tail_z(draws, 0.3)).max() > 6.0
 
 
 def test_bulk_samplers_are_deterministic():
