@@ -53,11 +53,6 @@ from .families import (
     Sibuya,
     SvhStable,
     TemperedStable,
-    family_fields,
-    gfun_eval,
-    laplace_eval,
-    pgf_eval,
-    thinning_eval,
 )
 from .samplers import (
     Seed,
@@ -117,18 +112,14 @@ __all__ = [
     "empirical_mode",
     "ex1_rvs",
     "extract_pmf",
-    "family_fields",
     "field_totals",
     "g_inverse",
     "geometric_rvs",
-    "gfun_eval",
     "inverse_gaussian_rvs",
-    "laplace_eval",
     "lower_median",
     "make_rng",
     "matched_exponential",
     "normalized_sum_transform",
-    "pgf_eval",
     "radial_norm_defect",
     "ranking_instability",
     "sample_geometric",
@@ -140,7 +131,6 @@ __all__ = [
     "svh_rvs",
     "tail_exponent",
     "thin_general",
-    "thinning_eval",
     "top_share",
     "validate_pgf",
     "__version__",

@@ -37,7 +37,6 @@ from .errors import (
 )
 from .extraction import extract_pmf, radial_norm_defect
 from .families import (
-    LAPLACE_FAMILIES,
     Bernoulli,
     Example1,
     Example1Thin,
@@ -45,6 +44,7 @@ from .families import (
     Example2Thin,
     FieldCitations,
     Gamma,
+    LaplaceFamily,
     SvhStable,
     TemperedStable,
 )
@@ -144,7 +144,7 @@ _THINNINGS = {
 def _families_from_args(args):
     """The chosen family and its matched thinning (None for a Laplace family)."""
     family = _FAMILIES[args.family](args)
-    if isinstance(family, LAPLACE_FAMILIES):
+    if isinstance(family, LaplaceFamily):
         return family, None
     pairs = family.matched_pairs()
     if not pairs:
@@ -263,11 +263,7 @@ def cmd_converge(args) -> int:
     if args.h_kind == "matched":
         h = matched_exponential(target)
     elif args.h_kind == "mismatched":
-        mean = 2.0 * target.b * target.gamma_shape
-
-        def h(s):
-            return 1.0 / (1.0 + mean * np.asarray(s, dtype=float))
-
+        h = matched_exponential(Gamma(2.0 * target.b, target.gamma_shape))
     elif args.h_kind == "target":
         h = target.laplace
     else:

@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 
 from .errors import ParameterError
-from .families import Gamma, LAPLACE_FAMILIES
+from .families import Gamma, LaplaceFamily, check_kind, check_n
 
 __all__ = [
     "default_conv_grid",
@@ -44,11 +44,6 @@ CONV_GRID_DECADES = (-4.0, 4.0)
 def default_conv_grid() -> np.ndarray:
     """Log-spaced grid on [1e-4, 1e4] used for the sup-over-s proxies."""
     return np.logspace(CONV_GRID_DECADES[0], CONV_GRID_DECADES[1], CONV_GRID_POINTS)
-
-
-def _check_family(family) -> None:
-    if not isinstance(family, LAPLACE_FAMILIES):
-        raise ParameterError(f"not a Laplace family: {family!r}")
 
 
 def _check_grid(s_grid) -> np.ndarray:
@@ -76,15 +71,14 @@ def matched_exponential(family: Gamma):
 
 def normalized_sum_transform(h, family, n: int, s) -> np.ndarray:
     """Laplace transform h(-log g_n(s))^n of the normalized n-fold sum."""
-    _check_family(family)
-    if int(n) != n or n < 1:
-        raise ParameterError("n must be an integer >= 1")
+    check_kind(family, LaplaceFamily, "Laplace")
+    check_n(n)
     return np.asarray(h(family.neg_log_gfun(n, s))) ** n
 
 
 def condition_a(h, family, a: float, s_grid=None) -> float:
     """Grid sup of |h(s) - L(s)| / s^a (condition (a) of the theorem)."""
-    _check_family(family)
+    check_kind(family, LaplaceFamily, "Laplace")
     if a <= 0:
         raise ParameterError("a must be positive")
     s = _check_grid(s_grid)
@@ -100,9 +94,8 @@ def g_inverse(family, n: int, s) -> np.ndarray:
     with d = (1+s/h)^alpha - 1, evaluated through expm1/log1p so small
     s keeps its relative accuracy.
     """
-    _check_family(family)
-    if int(n) != n or n < 1:
-        raise ParameterError("n must be an integer >= 1")
+    check_kind(family, LaplaceFamily, "Laplace")
+    check_n(n)
     s = np.asarray(s, dtype=float)
     if s.size and np.min(s) <= 0:
         raise ParameterError("s must be positive")
@@ -115,7 +108,7 @@ def g_inverse(family, n: int, s) -> np.ndarray:
 
 def condition_b(family, a: float, n_list, s_grid=None) -> list[float]:
     """Grid sup of n s^a / g_n^{-1}(e^{-s})^a for each n (condition (b))."""
-    _check_family(family)
+    check_kind(family, LaplaceFamily, "Laplace")
     if a <= 0:
         raise ParameterError("a must be positive")
     s = _check_grid(s_grid)
@@ -134,7 +127,7 @@ def convergence_curve(h, family, n_list, s_grid=None, a: float = 2.0) -> list[tu
     or a non-decreasing condition (b) sequence triggers a warning, not
     an error, since the grid can only witness divergence, not prove it.
     """
-    _check_family(family)
+    check_kind(family, LaplaceFamily, "Laplace")
     s = _check_grid(s_grid)
     target = family.laplace(s)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, PrecisionError
-from .families import PGF_FAMILIES, Example1
+from .families import Example1, PgfFamily
 
 __all__ = [
     "ResidualReport",
@@ -105,7 +105,7 @@ class PmfTable:
 
 def as_pgf_callable(pgf):
     """Accept a p.g.f. family or a bare closure; return a callable on z."""
-    if isinstance(pgf, PGF_FAMILIES):
+    if isinstance(pgf, PgfFamily):
         return pgf.pgf
     if callable(pgf):
         return pgf

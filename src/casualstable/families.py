@@ -2,7 +2,9 @@
 
 Every distribution handled by this package is specified through a
 transform: a probability generating function (p.g.f.) for the integer
-families, a Laplace transform for the positive continuous ones.
+families, a Laplace transform for the positive continuous ones.  A
+family's kind is its base class: ``PgfFamily``, ``ThinningFamily`` or
+``LaplaceFamily``.
 
 P.g.f. families
     SvhStable        P(z) = exp{-lam (1-z)^alpha}
@@ -51,7 +53,6 @@ Numerical form
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -72,10 +73,9 @@ __all__ = [
     "Example2Thin",
     "Gamma",
     "TemperedStable",
-    "pgf_eval",
-    "thinning_eval",
-    "laplace_eval",
-    "gfun_eval",
+    "PgfFamily",
+    "ThinningFamily",
+    "LaplaceFamily",
 ]
 
 
@@ -84,10 +84,22 @@ def _require(condition: bool, message: str) -> None:
         raise ParameterError(message)
 
 
+def check_n(n: int) -> None:
+    _require(int(n) == n and n >= 1, "n must be an integer >= 1")
+
+
+def check_kind(obj, kind: type, noun: str) -> None:
+    """Raise unless ``obj`` is a family of the given kind (its base class)."""
+    if not isinstance(obj, kind):  # the message is formatted only on failure
+        raise ParameterError(f"not a {noun} family: {obj!r}")
+
+
 def _coerce_float(obj, *fields: str) -> None:
-    # frozen dataclasses: normalize numeric fields to float on construction
+    # frozen dataclasses: normalize numeric fields to finite floats on construction
     for name in fields:
-        object.__setattr__(obj, name, float(getattr(obj, name)))
+        value = float(getattr(obj, name))
+        _require(math.isfinite(value), f"{name} must be finite")
+        object.__setattr__(obj, name, value)
 
 
 def _complement(z):
@@ -137,8 +149,8 @@ def _one_minus_zm(u, m: int):
 # ---------------------------------------------------------------------------
 
 
-class _PgfFamily:
-    """Front end shared by the p.g.f. families: P(z) from the complement kernel."""
+class PgfFamily:
+    """Base of the p.g.f. families: P(z) from the complement kernel."""
 
     def pgf(self, z):
         return self.pgf_from_complement(_complement(z))
@@ -149,7 +161,7 @@ class _PgfFamily:
 
 
 @dataclass(frozen=True)
-class SvhStable(_PgfFamily):
+class SvhStable(PgfFamily):
     """Discrete stable law in the Steutel-van Harn sense.
 
     P(z) = exp{-lam (1-z)^alpha} with lam > 0 and alpha in (0, 1].
@@ -180,7 +192,7 @@ class SvhStable(_PgfFamily):
 
 
 @dataclass(frozen=True)
-class Example1(_PgfFamily):
+class Example1(PgfFamily):
     """Discrete stable family for the Moebius thinning semigroup.
 
     P(z) = exp{-lam W(z)^gamma} with W(z) = (1-z^m)/(1-kappa z^m).
@@ -232,7 +244,7 @@ def _chebyshev_angle(b: float, u):
 
 
 @dataclass(frozen=True)
-class Example2(_PgfFamily):
+class Example2(PgfFamily):
     """Discrete stable family for the Chebyshev thinning semigroup.
 
     P(z) = exp{-lam theta(z)^gamma} where theta(z) = arccos A(z) and
@@ -258,7 +270,7 @@ class Example2(_PgfFamily):
 
 
 @dataclass(frozen=True)
-class Geometric(_PgfFamily):
+class Geometric(PgfFamily):
     """Number of publications: P(k) = q(1-q)^(k-1) on {1, 2, ...}."""
 
     q: float
@@ -278,7 +290,7 @@ def _geometric_complement(q: float, u):
 
 
 @dataclass(frozen=True)
-class Sibuya(_PgfFamily):
+class Sibuya(PgfFamily):
     """Citations of a single paper: P(z) = 1 - (1-z)^p on {1, 2, ...}.
 
     P(k) = p (1-p)_(k-1) / k! where (x)_j is the rising factorial; the
@@ -297,7 +309,7 @@ class Sibuya(_PgfFamily):
 
 
 @dataclass(frozen=True)
-class AuthorCitations(_PgfFamily):
+class AuthorCitations(PgfFamily):
     """Citations of one author: Sibuya(p) many papers... composed law.
 
     P(z) = 1 - (1 - G(z))^p where G is the ``Geometric`` p.g.f.; the
@@ -318,7 +330,7 @@ class AuthorCitations(_PgfFamily):
 
 
 @dataclass(frozen=True)
-class FieldCitations(_PgfFamily):
+class FieldCitations(PgfFamily):
     """Total citations of a field with Poisson(lam) many authors.
 
     P(z) = exp{-lam ((1-z)/(1-(1-q)z))^p}; identical to ``Example1``
@@ -354,8 +366,8 @@ class FieldCitations(_PgfFamily):
 # ---------------------------------------------------------------------------
 
 
-class _ThinningFamily:
-    """Domain check shared by the thinning families."""
+class ThinningFamily:
+    """Base of the thinning families: the domain check of p."""
 
     def p_domain(self) -> tuple[float, bool, str]:
         """Admissible p: (top, whether top itself is admissible, the interval as text)."""
@@ -367,7 +379,7 @@ class _ThinningFamily:
 
 
 @dataclass(frozen=True)
-class Bernoulli(_ThinningFamily):
+class Bernoulli(ThinningFamily):
     """Classical binomial thinning: Q_p(z) = 1 - p + p z."""
 
     def complement_map(self, p: float, u):
@@ -379,7 +391,7 @@ class Bernoulli(_ThinningFamily):
 
 
 @dataclass(frozen=True)
-class Example1Thin(_ThinningFamily):
+class Example1Thin(ThinningFamily):
     """Moebius normalizer family.
 
     Q_p(z) = (((1-p)+(p-kappa)z^m) / ((1-p kappa)-kappa(1-p)z^m))^(1/m).
@@ -429,7 +441,7 @@ class Example1Thin(_ThinningFamily):
 
 
 @dataclass(frozen=True)
-class Example2Thin(_ThinningFamily):
+class Example2Thin(ThinningFamily):
     """Chebyshev normalizer family: Q_p = A^(-1) o T_p o A.
 
     A(z) = ((1+b)z - 2b)/(2 - (1+b)z), T_p(x) = cos(p arccos x).
@@ -468,8 +480,18 @@ def _check_s(s) -> None:
         raise ParameterError("s must be nonnegative")
 
 
+class LaplaceFamily:
+    """Base of the Laplace families: L(s) and g_n(s) from their logarithms."""
+
+    def laplace(self, s):
+        return np.exp(self.log_laplace(s))
+
+    def gfun(self, n: int, s):
+        return np.exp(-self.neg_log_gfun(n, s))
+
+
 @dataclass(frozen=True)
-class Gamma:
+class Gamma(LaplaceFamily):
     """Gamma law: L(s) = (1 + b s)^(-gamma_shape).
 
     Casual normalizer g_n(s) = exp{(1/b)(1 - (1+bs)^(1/n))} makes the
@@ -488,26 +510,16 @@ class Gamma:
         _check_s(s)
         return -self.gamma_shape * np.log1p(self.b * np.asarray(s, dtype=float))
 
-    def laplace(self, s):
-        return np.exp(self.log_laplace(s))
-
     def neg_log_gfun(self, n: int, s):
         """-log g_n(s) = ((1+bs)^(1/n) - 1)/b, evaluated in log space."""
-        _check_n(n)
+        check_n(n)
         _check_s(s)
         s = np.asarray(s, dtype=float)
         return np.expm1(np.log1p(self.b * s) / n) / self.b
 
-    def gfun(self, n: int, s):
-        return np.exp(-self.neg_log_gfun(n, s))
-
-
-def _check_n(n: int) -> None:
-    _require(int(n) == n and n >= 1, "n must be an integer >= 1")
-
 
 @dataclass(frozen=True)
-class TemperedStable:
+class TemperedStable(LaplaceFamily):
     """Tempered positive stable law with tempering parameter h.
 
     L(s) = exp{-lam^alpha (1+tan(pi alpha/2)) ((s+h)^alpha - h^alpha)}
@@ -543,67 +555,10 @@ class TemperedStable:
         increment = self.h ** self.alpha * np.expm1(self.alpha * np.log1p(s / self.h))
         return -self.tempering_coefficient * increment
 
-    def laplace(self, s):
-        return np.exp(self.log_laplace(s))
-
     def neg_log_gfun(self, n: int, s):
         """-log g_n(s) = ((s+h)^alpha/n + (n-1)h^alpha/n)^(1/alpha) - h."""
-        _check_n(n)
+        check_n(n)
         _check_s(s)
         s = np.asarray(s, dtype=float)
         d = np.expm1(self.alpha * np.log1p(s / self.h)) / n
         return self.h * np.expm1(np.log1p(d) / self.alpha)
-
-    def gfun(self, n: int, s):
-        return np.exp(-self.neg_log_gfun(n, s))
-
-
-# ---------------------------------------------------------------------------
-# functional front end
-# ---------------------------------------------------------------------------
-
-PGF_FAMILIES = (
-    SvhStable,
-    Example1,
-    Example2,
-    Geometric,
-    Sibuya,
-    AuthorCitations,
-    FieldCitations,
-)
-THINNING_FAMILIES = (Bernoulli, Example1Thin, Example2Thin)
-LAPLACE_FAMILIES = (Gamma, TemperedStable)
-
-
-def pgf_eval(family, z):
-    """Evaluate the family's p.g.f. at z (scalar or array, real or complex).
-
-    Arguments must stay in the closed unit disk; the families with a
-    branch point at z = 1 (SvhStable, Sibuya, Example2, ...) are defined
-    there only as radial limits and should be approached, not hit.
-    """
-    _require(isinstance(family, PGF_FAMILIES), f"not a p.g.f. family: {family!r}")
-    return family.pgf(z)
-
-
-def thinning_eval(family, p: float, z):
-    """Evaluate the normalizer Q_p(z) for an admissible thinning parameter."""
-    _require(isinstance(family, THINNING_FAMILIES), f"not a thinning family: {family!r}")
-    return family.thin(p, z)
-
-
-def laplace_eval(family, s):
-    """Evaluate the family's Laplace transform at s >= 0."""
-    _require(isinstance(family, LAPLACE_FAMILIES), f"not a Laplace family: {family!r}")
-    return family.laplace(s)
-
-
-def gfun_eval(family, n: int, s):
-    """Evaluate the casual normalizer g_n(s); g_1(s) = exp(-s)."""
-    _require(isinstance(family, LAPLACE_FAMILIES), f"not a Laplace family: {family!r}")
-    return family.gfun(n, s)
-
-
-def family_fields(family) -> dict:
-    """Parameter dict of any family dataclass (for reports and CSV)."""
-    return dataclasses.asdict(family)

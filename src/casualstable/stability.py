@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .extraction import ResidualReport
-from .families import LAPLACE_FAMILIES, PGF_FAMILIES, THINNING_FAMILIES
+from .families import LaplaceFamily, PgfFamily, ThinningFamily, check_kind, check_n
 
 __all__ = [
     "default_z_grid",
@@ -49,6 +49,14 @@ def default_s_grid() -> np.ndarray:
     return np.logspace(S_GRID_DECADES[0], S_GRID_DECADES[1], S_GRID_POINTS)
 
 
+def _grid(grid, default, name: str) -> np.ndarray:
+    """The given grid as a float array, or ``default()`` when it is None."""
+    points = default() if grid is None else np.asarray(grid, dtype=float)
+    if points.size == 0:
+        raise ParameterError(f"{name} grid must be nonempty")
+    return points
+
+
 def _sup_report(residuals: np.ndarray, grid: np.ndarray, spec: str) -> ResidualReport:
     worst = int(np.argmax(residuals))
     return ResidualReport(
@@ -60,15 +68,10 @@ def _sup_report(residuals: np.ndarray, grid: np.ndarray, spec: str) -> ResidualR
 
 def discrete_stability_residual(family, thinning, n: int, p: float, z_grid=None) -> ResidualReport:
     """sup_z |P(z) - P(Q_p(z))^n| over the grid, in complement form."""
-    if not isinstance(family, PGF_FAMILIES):
-        raise ParameterError(f"not a p.g.f. family: {family!r}")
-    if not isinstance(thinning, THINNING_FAMILIES):
-        raise ParameterError(f"not a thinning family: {thinning!r}")
-    if int(n) != n or n < 1:
-        raise ParameterError("n must be an integer >= 1")
-    z = default_z_grid() if z_grid is None else np.asarray(z_grid, dtype=float)
-    if z.size == 0:
-        raise ParameterError("z grid must be nonempty")
+    check_kind(family, PgfFamily, "p.g.f.")
+    check_kind(thinning, ThinningFamily, "thinning")
+    check_n(n)
+    z = _grid(z_grid, default_z_grid, "z")
     u = 1.0 - z
     thinned_u = thinning.complement_map(p, u)
     lhs = family.pgf_from_complement(u)
@@ -83,13 +86,9 @@ def discrete_stability_residual(family, thinning, n: int, p: float, z_grid=None)
 
 def casual_stability_residual(family, n: int, s_grid=None) -> ResidualReport:
     """sup_s |L(s) - L(-log g_n(s))^n| over the grid, in log space."""
-    if not isinstance(family, LAPLACE_FAMILIES):
-        raise ParameterError(f"not a Laplace family: {family!r}")
-    if int(n) != n or n < 1:
-        raise ParameterError("n must be an integer >= 1")
-    s = default_s_grid() if s_grid is None else np.asarray(s_grid, dtype=float)
-    if s.size == 0:
-        raise ParameterError("s grid must be nonempty")
+    check_kind(family, LaplaceFamily, "Laplace")
+    check_n(n)
+    s = _grid(s_grid, default_s_grid, "s")
     lhs = np.exp(family.log_laplace(s))
     rhs = np.exp(n * family.log_laplace(family.neg_log_gfun(n, s)))
     return _sup_report(
@@ -102,11 +101,8 @@ def casual_stability_residual(family, n: int, s_grid=None) -> ResidualReport:
 
 def commutativity_residual(thinning, p1: float, p2: float, z_grid=None) -> ResidualReport:
     """sup_z |Q_p1(Q_p2(z)) - Q_p2(Q_p1(z))|: semigroup commutativity."""
-    if not isinstance(thinning, THINNING_FAMILIES):
-        raise ParameterError(f"not a thinning family: {thinning!r}")
-    z = default_z_grid() if z_grid is None else np.asarray(z_grid, dtype=float)
-    if z.size == 0:
-        raise ParameterError("z grid must be nonempty")
+    check_kind(thinning, ThinningFamily, "thinning")
+    z = _grid(z_grid, default_z_grid, "z")
     u = 1.0 - z
     forward = thinning.complement_map(p1, thinning.complement_map(p2, u))
     backward = thinning.complement_map(p2, thinning.complement_map(p1, u))
@@ -150,9 +146,8 @@ def compose_thinning(thinning, p1: float, p2: float, z_grid=None) -> tuple[float
     above tolerance rather than an error.  For all three families the
     semigroup gives p_eff = p1 p2, which the fit recovers numerically.
     """
-    if not isinstance(thinning, THINNING_FAMILIES):
-        raise ParameterError(f"not a thinning family: {thinning!r}")
-    z = default_z_grid() if z_grid is None else np.asarray(z_grid, dtype=float)
+    check_kind(thinning, ThinningFamily, "thinning")
+    z = _grid(z_grid, default_z_grid, "z")
     u = 1.0 - z
     target = thinning.complement_map(p1, thinning.complement_map(p2, u))
 
@@ -173,13 +168,11 @@ def solve_pn(family, thinning, n: int) -> float:
     thinning's admissible interval.  Raises when p(n) lands outside the
     thinning family's domain (m > 1 needs n^(-1/gamma) < kappa).
     """
-    if int(n) != n or n < 1:
-        raise ParameterError("n must be an integer >= 1")
+    check_n(n)
     if n == 1:
         return 1.0
-    if not isinstance(thinning, THINNING_FAMILIES):
-        raise ParameterError(f"not a thinning family: {thinning!r}")
-    exponent = dict(family.matched_pairs()).get(thinning) if isinstance(family, PGF_FAMILIES) else None
+    check_kind(thinning, ThinningFamily, "thinning")
+    exponent = dict(family.matched_pairs()).get(thinning) if isinstance(family, PgfFamily) else None
     if exponent is not None:
         p = float(n) ** (-1.0 / exponent)
         thinning.check_p(p)  # admissibility: raises outside the domain

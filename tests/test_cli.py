@@ -65,6 +65,21 @@ def test_family_without_matched_thinning_exits_two(capsys):
     assert "no thinning family is matched" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-stability", "--family", "gamma", "--b", "inf", "--gamma", "2", "--n", "2..3"],
+        ["check-stability", "--family", "ts", "--h", "inf", "--n", "2..3"],
+        ["citations", "--lambda", "inf", "--replicates", "1"],
+    ],
+    ids=["gamma-b", "ts-h", "citations-lambda"],
+)
+def test_non_finite_parameter_exits_two(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "must be finite" in err
+
+
 def test_tightened_tolerance_exits_one(capsys):
     code, out, err = run(
         ["check-stability", "--family", "svh", "--alpha", "0.5", "--n", "2..5", "--tol", "1e-18"],

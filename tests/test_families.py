@@ -1,10 +1,13 @@
 """Parameter validation and closed-form values of the distribution families."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casualstable import families
 from casualstable import (
     AuthorCitations,
     Bernoulli,
@@ -19,11 +22,6 @@ from casualstable import (
     Sibuya,
     SvhStable,
     TemperedStable,
-    family_fields,
-    gfun_eval,
-    laplace_eval,
-    pgf_eval,
-    thinning_eval,
 )
 
 Z = np.linspace(0.0, 1.0, 41)
@@ -63,6 +61,74 @@ def test_invalid_parameters_raise(ctor):
         ctor()
 
 
+# one valid instance of every family class the module exports
+VALID = [
+    SvhStable(1.0, 0.5),
+    Example1(1.0, 0.5, 0.3, 2),
+    Example2(1.0, 1.0, 0.0),
+    Geometric(0.5),
+    Sibuya(0.5),
+    AuthorCitations(0.5, 0.5),
+    FieldCitations(1.0, 0.5, 0.5),
+    Bernoulli(),
+    Example1Thin(0.3, 1),
+    Example2Thin(0.0),
+    Gamma(1.0, 2.0),
+    TemperedStable(1.0, 0.5, 1.0),
+]
+FLOAT_FIELDS = [
+    (family, field.name)
+    for family in VALID
+    for field in dataclasses.fields(family)
+    if field.type == "float"
+]
+
+
+def test_valid_instances_cover_every_family_class():
+    exported = [getattr(families, name) for name in families.__all__]
+    assert {type(family) for family in VALID} == {cls for cls in exported if dataclasses.is_dataclass(cls)}
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize(
+    "family, name", FLOAT_FIELDS, ids=[f"{type(f).__name__}.{name}" for f, name in FLOAT_FIELDS]
+)
+def test_non_finite_float_field_raises(family, name, value):
+    with pytest.raises(ParameterError, match=f"{name} must be finite"):
+        dataclasses.replace(family, **{name: value})
+
+
+KIND_METHODS = {
+    "pgf_from_complement": families.PgfFamily,
+    "complement_map": families.ThinningFamily,
+    "log_laplace": families.LaplaceFamily,
+}
+
+
+def kind_strays(classes) -> list[tuple[str, str]]:
+    """(class, method) for each class that defines a kind's method but is not of that kind."""
+    return [
+        (cls.__name__, method)
+        for cls in classes
+        for method, kind in KIND_METHODS.items()
+        if hasattr(cls, method) and not issubclass(cls, kind)
+    ]
+
+
+def test_every_family_is_of_its_kind():
+    exported = [getattr(families, name) for name in families.__all__]
+    assert kind_strays(exported) == []
+
+
+def test_kind_guard_sees_a_class_outside_its_kind():
+    # negative control: a p.g.f. kernel without the p.g.f. base class
+    class Stray:
+        def pgf_from_complement(self, u):
+            return 1.0 - u
+
+    assert kind_strays([Stray]) == [("Stray", "pgf_from_complement")]
+
+
 def test_families_are_frozen():
     fam = SvhStable(1.0, 0.5)
     with pytest.raises(Exception):
@@ -71,8 +137,8 @@ def test_families_are_frozen():
 
 def test_family_fields_roundtrip():
     fam = Example1(1.0, 0.7, 0.3, 2)
-    assert family_fields(fam) == {"lam": 1.0, "gamma": 0.7, "kappa": 0.3, "m": 2}
-    assert Example1(**family_fields(fam)) == fam
+    assert dataclasses.asdict(fam) == {"lam": 1.0, "gamma": 0.7, "kappa": 0.3, "m": 2}
+    assert Example1(**dataclasses.asdict(fam)) == fam
 
 
 def test_svh_pgf_closed_form():
@@ -213,18 +279,12 @@ def test_gfun_validity_necessary_conditions():
         assert np.all(np.diff(np.log(g), 2) > -1e-12)
 
 
-def test_eval_dispatchers_reject_wrong_kind():
-    with pytest.raises(ParameterError):
-        pgf_eval(Gamma(1.0, 1.0), 0.5)
-    with pytest.raises(ParameterError):
-        laplace_eval(SvhStable(1.0, 0.5), 0.5)
-    with pytest.raises(ParameterError):
-        thinning_eval(SvhStable(1.0, 0.5), 0.5, 0.5)
-    assert pgf_eval(SvhStable(1.0, 1.0), 0.5) == pytest.approx(np.exp(-0.5))
-    assert laplace_eval(Gamma(1.0, 1.0), 1.0) == pytest.approx(0.5)
-    assert thinning_eval(Bernoulli(), 0.25, 0.0) == pytest.approx(0.75)
+def test_transform_methods_closed_form_values():
+    assert SvhStable(1.0, 1.0).pgf(0.5) == pytest.approx(np.exp(-0.5))
+    assert Gamma(1.0, 1.0).laplace(1.0) == pytest.approx(0.5)
+    assert Bernoulli().thin(0.25, 0.0) == pytest.approx(0.75)
     # -log g_2(3) = sqrt(1 + 3) - 1 = 1 for b = 1
-    assert gfun_eval(Gamma(1.0, 1.0), 2, 3.0) == pytest.approx(np.exp(-1.0))
+    assert Gamma(1.0, 1.0).gfun(2, 3.0) == pytest.approx(np.exp(-1.0))
 
 
 @given(

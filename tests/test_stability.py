@@ -213,3 +213,18 @@ def test_residual_checkers_reject_mismatched_objects():
         commutativity_residual(Gamma(1.0, 1.0), 0.5, 0.5)
     with pytest.raises(ParameterError, match="nonempty"):
         discrete_stability_residual(SvhStable(1.0, 0.5), Bernoulli(), 2, 0.5, [])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda grid: discrete_stability_residual(SvhStable(1.0, 0.5), Bernoulli(), 2, 0.5, grid),
+        lambda grid: casual_stability_residual(Gamma(1.0, 1.0), 2, grid),
+        lambda grid: commutativity_residual(Bernoulli(), 0.5, 0.5, grid),
+        lambda grid: compose_thinning(Bernoulli(), 0.5, 0.5, grid),
+    ],
+    ids=["discrete", "casual", "commutativity", "compose"],
+)
+def test_empty_grid_is_refused(call):
+    with pytest.raises(ParameterError, match="grid must be nonempty"):
+        call([])
