@@ -59,7 +59,6 @@ from .samplers import (
     geometric_rvs,
     inverse_gaussian_rvs,
     make_rng,
-    sample_geometric,
     sample_sibuya,
     sibuya_rvs,
     svh_rvs,
@@ -122,7 +121,6 @@ __all__ = [
     "normalized_sum_transform",
     "radial_norm_defect",
     "ranking_instability",
-    "sample_geometric",
     "sample_sibuya",
     "sibuya_rvs",
     "simulate_author",

@@ -152,14 +152,14 @@ def _families_from_args(args):
     return family, pairs[0][0]
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:  # a nan fails too
+        raise ParameterError(f"--tol must be finite and nonnegative, not {fmt(tol)}")
+
+
 def cmd_check_stability(args) -> int:
+    _check_tol(args.tol)
     family, thinning = _families_from_args(args)
-    if args.casual and thinning is not None:
-        raise ParameterError(
-            f"--casual applies to the Laplace families (gamma, ts), not {args.family!r}"
-        )
-    if args.solve_pn and args.p is not None:
-        raise ParameterError("--solve-pn and an explicit --p are mutually exclusive")
     ns = parse_int_range(args.n)
     rows = []
     worst = 0.0
@@ -184,6 +184,7 @@ def cmd_check_stability(args) -> int:
 
 
 def cmd_check_pgf(args) -> int:
+    _check_tol(args.tol)
     thinning = _THINNINGS[args.thinning](args)
     header = ["p", "min_coeff", "argmin_k", "tol_neg", "norm_defect"]
     rows = []
@@ -324,10 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--h", type=float, default=1.0)
     st.add_argument("--n", default="2..10", help="n range: start..end[:step] or comma list")
     st.add_argument("--p", type=float, default=None, help="thinning parameter (default: solve p(n))")
-    st.add_argument("--solve-pn", dest="solve_pn", action="store_true",
-                    help="solve for p(n) explicitly (the default when --p is absent)")
-    st.add_argument("--casual", action="store_true",
-                    help="assert the casual (Laplace-domain) check; implied by gamma/ts")
     st.add_argument("--tol", type=float, default=DEFAULT_STABILITY_TOL)
     _add_common(st)
     st.set_defaults(func=cmd_check_stability)

@@ -47,10 +47,17 @@ def default_conv_grid() -> np.ndarray:
 
 
 def _check_grid(s_grid) -> np.ndarray:
-    s = default_conv_grid() if s_grid is None else np.asarray(s_grid, dtype=float)
-    if s.size == 0 or np.min(s) <= 0:
-        raise ParameterError("s grid must be nonempty with positive entries")
+    if s_grid is None:
+        return default_conv_grid()
+    s = np.asarray(s_grid, dtype=float)
+    if not (s.size and np.min(s) > 0 and np.max(s) < np.inf):  # a nan fails too
+        raise ParameterError("s grid must be nonempty with positive finite entries")
     return s
+
+
+def _check_a(a: float) -> None:
+    if not 0 < a < np.inf:  # a nan fails too
+        raise ParameterError(f"a must be positive and finite, not {a}")
 
 
 def matched_exponential(family: Gamma):
@@ -79,8 +86,7 @@ def normalized_sum_transform(h, family, n: int, s) -> np.ndarray:
 def condition_a(h, family, a: float, s_grid=None) -> float:
     """Grid sup of |h(s) - L(s)| / s^a (condition (a) of the theorem)."""
     check_kind(family, LaplaceFamily, "Laplace")
-    if a <= 0:
-        raise ParameterError("a must be positive")
+    _check_a(a)
     s = _check_grid(s_grid)
     return float(np.max(np.abs(np.asarray(h(s)) - family.laplace(s)) / s ** a))
 
@@ -97,7 +103,7 @@ def g_inverse(family, n: int, s) -> np.ndarray:
     check_kind(family, LaplaceFamily, "Laplace")
     check_n(n)
     s = np.asarray(s, dtype=float)
-    if s.size and np.min(s) <= 0:
+    if s.size and not np.min(s) > 0:  # a nan fails too
         raise ParameterError("s must be positive")
     with np.errstate(over="ignore"):
         if isinstance(family, Gamma):
@@ -109,8 +115,7 @@ def g_inverse(family, n: int, s) -> np.ndarray:
 def condition_b(family, a: float, n_list, s_grid=None) -> list[float]:
     """Grid sup of n s^a / g_n^{-1}(e^{-s})^a for each n (condition (b))."""
     check_kind(family, LaplaceFamily, "Laplace")
-    if a <= 0:
-        raise ParameterError("a must be positive")
+    _check_a(a)
     s = _check_grid(s_grid)
     values = []
     for n in n_list:
@@ -128,6 +133,7 @@ def convergence_curve(h, family, n_list, s_grid=None, a: float = 2.0) -> list[tu
     an error, since the grid can only witness divergence, not prove it.
     """
     check_kind(family, LaplaceFamily, "Laplace")
+    _check_a(a)
     s = _check_grid(s_grid)
     target = family.laplace(s)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, PrecisionError
-from .families import Example1, PgfFamily
+from .families import PgfFamily
 
 __all__ = [
     "ResidualReport",
@@ -58,8 +58,8 @@ class ResidualReport:
     grid_spec: str
 
     def __post_init__(self) -> None:
-        if self.sup_residual < 0:
-            raise ParameterError("sup_residual must be nonnegative")
+        if not self.sup_residual >= 0:  # a nan fails too
+            raise ParameterError(f"sup_residual must be nonnegative, not {self.sup_residual}")
 
 
 @dataclass
@@ -68,9 +68,8 @@ class PmfTable:
 
     ``masses[i]`` is the extracted coefficient at atom ``ks[i]``;
     ``mass_deficit`` is 1 - sum(masses) clamped to [0, 1] (tail mass
-    beyond the table); ``support_step`` is the lattice step (m for the
-    m-scaled families, 1 otherwise); ``tol_neg`` is the certified
-    extraction error bound described in the module docstring.
+    beyond the table); ``tol_neg`` is the certified extraction error
+    bound described in the module docstring.
     ``overflow_hits`` counts samples that fell past the table when the
     table is used for thinning (see the samplers).
     """
@@ -78,7 +77,6 @@ class PmfTable:
     ks: np.ndarray
     masses: np.ndarray
     mass_deficit: float
-    support_step: int = 1
     tol_neg: float = DEFAULT_TOL_NEG
     overflow_hits: int = field(default=0, compare=False)
 
@@ -110,12 +108,6 @@ def as_pgf_callable(pgf):
     if callable(pgf):
         return pgf
     raise ParameterError(f"not a p.g.f. family or callable: {pgf!r}")
-
-
-def _support_step(pgf) -> int:
-    if isinstance(pgf, Example1):
-        return pgf.m
-    return 1
 
 
 def fft_points(n_max: int) -> int:
@@ -168,18 +160,17 @@ def extract_pmf(pgf, n_max: int, radius: float = DEFAULT_RADIUS, *, tol: float |
         ks=ks,
         masses=coeffs,
         mass_deficit=deficit,
-        support_step=_support_step(pgf),
         tol_neg=max(certified, DEFAULT_TOL_NEG),
     )
 
 
-def radial_norm_defect(pgf, depth: int = 6) -> float:
-    """|P(1 - 10^-depth) - 1|: normalization defect along the radial limit."""
+def radial_norm_defect(pgf) -> float:
+    """|P(1 - 10^-6) - 1|: normalization defect along the radial limit."""
     f = as_pgf_callable(pgf)
-    return float(abs(f(1.0 - 10.0 ** -depth) - 1.0))
+    return float(abs(f(1.0 - 10.0 ** -6) - 1.0))
 
 
-def validate_pgf(pgf, n_max: int = 200, tol: float = 1e-8, radius: float = DEFAULT_RADIUS) -> ResidualReport:
+def validate_pgf(pgf, n_max: int = 200, tol: float = 1e-8) -> ResidualReport:
     """Check that a closure is a p.g.f.: nonnegative coefficients, mass 1.
 
     Returns a report whose ``sup_residual`` is the nonnegativity
@@ -187,14 +178,14 @@ def validate_pgf(pgf, n_max: int = 200, tol: float = 1e-8, radius: float = DEFAU
     nonnegative up to extraction error.  The normalization defect
     |P(1-) - 1| (radial limit) is recorded in ``grid_spec``.
     """
-    table = extract_pmf(pgf, n_max=n_max, radius=radius)
+    table = extract_pmf(pgf, n_max=n_max)
     defect = radial_norm_defect(pgf)
     violation = max(0.0, -table.min_mass)
     return ResidualReport(
         sup_residual=violation,
         argmax_point=float(table.argmin_atom),
         grid_spec=(
-            f"fourier circle radius={radius} points={fft_points(n_max)} "
+            f"fourier circle radius={DEFAULT_RADIUS} points={fft_points(n_max)} "
             f"n_max={n_max}; min coefficient {table.min_mass:.6e} at "
             f"k={table.argmin_atom}; tol_neg={table.tol_neg:.3e}; "
             f"norm_defect={defect:.6e}; tol={tol:g}"

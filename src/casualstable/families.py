@@ -85,7 +85,8 @@ def _require(condition: bool, message: str) -> None:
 
 
 def check_n(n: int) -> None:
-    _require(int(n) == n and n >= 1, "n must be an integer >= 1")
+    # inf % 1 and nan % 1 are nan, so both fail without int(n) raising
+    _require(n >= 1 and n % 1 == 0, "n must be an integer >= 1")
 
 
 def check_kind(obj, kind: type, noun: str) -> None:
@@ -476,7 +477,7 @@ class Example2Thin(ThinningFamily):
 
 def _check_s(s) -> None:
     s = np.asarray(s)
-    if s.size and np.min(s) < 0:
+    if s.size and not np.min(s) >= 0:  # a nan fails too
         raise ParameterError("s must be nonnegative")
 
 

@@ -39,7 +39,6 @@ from .families import AuthorCitations, Example1, Geometric, Sibuya, SvhStable, T
 __all__ = [
     "Seed",
     "make_rng",
-    "sample_geometric",
     "sample_sibuya",
     "thin_general",
     "geometric_rvs",
@@ -76,10 +75,8 @@ class Seed:
         return Seed(self.value, stream_id)
 
 
-def make_rng(seed: Seed | int) -> np.random.Generator:
+def make_rng(seed: Seed) -> np.random.Generator:
     """Philox generator keyed by (value, stream_id)."""
-    if isinstance(seed, int):
-        seed = Seed(seed)
     # an explicit uint64 key: a plain list holding a value >= 2^63 is
     # converted through float64, which merges neighbouring seeds
     key = np.array([seed.value, seed.stream_id], dtype=np.uint64)
@@ -89,11 +86,6 @@ def make_rng(seed: Seed | int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # scalar sampling operations
 # ---------------------------------------------------------------------------
-
-
-def sample_geometric(family: Geometric, rng: np.random.Generator) -> int:
-    """One draw with P(k) = q(1-q)^(k-1), k >= 1."""
-    return int(rng.geometric(family.q))
 
 
 def sample_sibuya(family: Sibuya, rng: np.random.Generator, *, cap: int = SIBUYA_ITERATION_CAP) -> int:

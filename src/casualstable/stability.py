@@ -51,9 +51,11 @@ def default_s_grid() -> np.ndarray:
 
 def _grid(grid, default, name: str) -> np.ndarray:
     """The given grid as a float array, or ``default()`` when it is None."""
-    points = default() if grid is None else np.asarray(grid, dtype=float)
-    if points.size == 0:
-        raise ParameterError(f"{name} grid must be nonempty")
+    if grid is None:
+        return default()
+    points = np.asarray(grid, dtype=float)
+    if points.size == 0 or not np.isfinite(points).all():
+        raise ParameterError(f"{name} grid must be nonempty and finite")
     return points
 
 

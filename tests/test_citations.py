@@ -87,8 +87,6 @@ def test_hill_estimator_recovers_index():
     assert 0.6 < tail_exponent(x) < 0.8
     with pytest.raises(InsufficientDataError):
         tail_exponent(np.arange(1, 100))  # below the minimum sample size
-    with pytest.raises(ParameterError):
-        tail_exponent(x, top_fraction=0.5)
 
 
 def test_sample_mean_grows_with_sample_size():

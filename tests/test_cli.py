@@ -40,7 +40,7 @@ def test_check_stability_svh_passes(capsys):
 
 def test_check_stability_casual_gamma_passes(capsys):
     code, out, err = run(
-        ["check-stability", "--family", "gamma", "--b", "1", "--gamma", "2", "--casual", "--n", "2..100"],
+        ["check-stability", "--family", "gamma", "--b", "1", "--gamma", "2", "--n", "2..100"],
         capsys,
     )
     assert code == 0
@@ -89,19 +89,77 @@ def test_tightened_tolerance_exits_one(capsys):
     assert "stability check failed" in err
 
 
-def test_casual_flag_rejected_for_discrete_family(capsys):
-    code, out, err = run(
-        ["check-stability", "--family", "svh", "--casual", "--n", "2..5"], capsys
-    )
-    assert code == 2 and "--casual" in err
+@pytest.mark.parametrize("flag", ["--casual", "--solve-pn"])
+def test_removed_flags_are_usage_errors(flag, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["check-stability", "--family", "gamma", flag, "--n", "2..3"])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
 
 
-def test_solve_pn_conflicts_with_explicit_p(capsys):
-    code, out, err = run(
-        ["check-stability", "--family", "svh", "--p", "0.3", "--solve-pn", "--n", "2..5"],
-        capsys,
-    )
-    assert code == 2 and "mutually exclusive" in err
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check-stability", "--family", "svh", "--p", "0.3", "--n", "2..3", "--tol", "nan"], "--tol"),
+        (["check-stability", "--family", "svh", "--n", "2..3", "--tol", "inf"], "--tol"),
+        (["check-stability", "--family", "gamma", "--n", "2..3", "--tol=-1"], "--tol"),
+        (["check-pgf", "--thinning", "bernoulli", "--n-max", "20", "--tol", "nan"], "--tol"),
+        (["check-pgf", "--thinning", "bernoulli", "--n-max", "20", "--tol=-1"], "--tol"),
+        (["converge", "--n", "2,4", "--a", "nan"], "a must be positive and finite"),
+        (["converge", "--n", "2,4", "--a", "inf"], "a must be positive and finite"),
+    ],
+)
+def test_bad_tolerance_or_exponent_exits_two_before_any_row(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+# every subcommand at small sizes, once per family or thinning choice;
+# Example2 needs b in (-1, 1), and 20,000 authors give a finite tail exponent
+GUARD_BASES = {
+    "check-stability": [
+        ["--family", family, "--n", "2..3", *(["--b", "0.2"] if family == "ex2" else [])]
+        for family in cli._FAMILIES
+    ],
+    "check-pgf": [["--thinning", thinning, "--n-max", "20"] for thinning in cli._THINNINGS],
+    "citations": [["--lambda", "20000", "--replicates", "1"]],
+    "converge": [["--n", "2,4"]],
+}
+
+
+def float_options() -> list[tuple[str, str]]:
+    """(subcommand, option) for every float-typed option of the parser."""
+    return [
+        (sub.prog.split()[-1], action.option_strings[0])
+        for sub in cli.build_parser().subcommand_parsers
+        for action in sub._actions
+        if action.type is float
+    ]
+
+
+def refused_or_clean(code, out: str) -> bool:
+    """A refused run exits 2 and prints nothing; a finished run prints no nan."""
+    return (code == 2 and out == "") or (code in (0, 1) and "nan" not in out)
+
+
+@pytest.mark.parametrize("command, option", float_options())
+def test_non_finite_float_option_is_refused_or_clean(command, option, capsys):
+    for base in GUARD_BASES[command]:
+        for value in ("nan", "inf", "-inf"):
+            # the = form keeps argparse from reading -inf as an option name
+            code = main([command, *base, f"{option}={value}"])
+            out = capsys.readouterr().out
+            assert refused_or_clean(code, out), (command, base, option, value, code, out)
+
+
+def test_guard_flags_a_run_that_prints_nan(capsys):
+    # negative control: too few authors for a tail exponent prints nan and exits 0
+    code = main(["citations", "--lambda", "5", "--replicates", "1"])
+    out = capsys.readouterr().out
+    assert code == 0 and "nan" in out
+    assert not refused_or_clean(code, out)
 
 
 # ---------------------------------------------------------------------------

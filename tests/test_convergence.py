@@ -102,6 +102,25 @@ def test_condition_a_rejects_nonpositive_exponent():
         condition_a(family.laplace, family, 0.0)
 
 
+@pytest.mark.parametrize("a", [0.0, -1.0, float("inf"), float("nan")])
+def test_every_entry_point_refuses_a_bad_exponent(a):
+    family = Gamma(1.0, 2.0)
+    for call in (
+        lambda: condition_a(family.laplace, family, a),
+        lambda: condition_b(family, a, [2, 4]),
+        lambda: convergence_curve(family.laplace, family, [2], a=a),
+    ):
+        with pytest.raises(ParameterError, match="a must be positive and finite"):
+            call()
+
+
+@pytest.mark.parametrize("grid", [[], [0.0, 1.0], [float("nan"), 1.0], [1.0, float("inf")]])
+def test_caller_grid_must_be_positive_and_finite(grid):
+    family = Gamma(1.0, 2.0)
+    with pytest.raises(ParameterError, match="positive finite entries"):
+        condition_b(family, 2.0, [2], grid)
+
+
 # ---------------------------------------------------------------------------
 # condition (b) and the inverse normalizer
 # ---------------------------------------------------------------------------
@@ -242,8 +261,9 @@ def test_g_inverse_round_trip():
 
 def test_g_inverse_rejects_bad_input():
     family = Gamma(1.0, 1.0)
-    with pytest.raises(ParameterError, match="positive"):
-        g_inverse(family, 2, np.array([0.0]))
+    for s in (0.0, float("nan")):
+        with pytest.raises(ParameterError, match="positive"):
+            g_inverse(family, 2, np.array([s]))
     with pytest.raises(ParameterError, match="integer >= 1"):
         g_inverse(family, 0, np.array([1.0]))
     with pytest.raises(ParameterError, match="not a Laplace family"):

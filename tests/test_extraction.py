@@ -18,6 +18,7 @@ from casualstable import (
     ParameterError,
     PmfTable,
     PrecisionError,
+    ResidualReport,
     Sibuya,
     SvhStable,
     extract_pmf,
@@ -113,8 +114,6 @@ def test_table_helpers():
     assert table.atoms[1] == (1, pytest.approx(0.5, abs=1e-12))
     assert table.min_mass == pytest.approx(0.0, abs=1e-12)
     assert table.argmin_atom == 0
-    assert table.support_step == 1
-    assert extract_pmf(Example1(1.0, 0.5, 0.4, 2), 8).support_step == 2
 
 
 def test_pmf_table_validation():
@@ -122,6 +121,13 @@ def test_pmf_table_validation():
         PmfTable(ks=[0, 1], masses=[0.5], mass_deficit=0.0)
     with pytest.raises(ParameterError):
         PmfTable(ks=[0], masses=[1.0], mass_deficit=1.5)
+
+
+def test_residual_report_refuses_a_nan_residual():
+    assert ResidualReport(0.0, 0.5, "grid").sup_residual == 0.0
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ParameterError, match="sup_residual must be nonnegative"):
+            ResidualReport(bad, 0.5, "grid")
 
 
 def test_extract_pmf_argument_validation():

@@ -129,6 +129,21 @@ def test_kind_guard_sees_a_class_outside_its_kind():
     assert kind_strays([Stray]) == [("Stray", "pgf_from_complement")]
 
 
+@pytest.mark.parametrize("n", [0, -3, 2.5, float("inf"), float("-inf"), float("nan")])
+def test_check_n_refuses_every_non_count(n):
+    with pytest.raises(ParameterError, match="integer >= 1"):
+        families.check_n(n)
+
+
+@pytest.mark.parametrize("s", [-1.0, float("nan")])
+def test_laplace_transforms_refuse_a_negative_or_nan_argument(s):
+    for family in (Gamma(1.0, 2.0), TemperedStable(1.0, 0.5, 1.0)):
+        with pytest.raises(ParameterError, match="s must be nonnegative"):
+            family.laplace(np.array([1.0, s]))
+        with pytest.raises(ParameterError, match="s must be nonnegative"):
+            family.gfun(2, np.array([1.0, s]))
+
+
 def test_families_are_frozen():
     fam = SvhStable(1.0, 0.5)
     with pytest.raises(Exception):

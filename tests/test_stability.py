@@ -226,5 +226,6 @@ def test_residual_checkers_reject_mismatched_objects():
     ids=["discrete", "casual", "commutativity", "compose"],
 )
 def test_empty_grid_is_refused(call):
-    with pytest.raises(ParameterError, match="grid must be nonempty"):
-        call([])
+    for grid in ([], [float("nan"), 0.5]):
+        with pytest.raises(ParameterError, match="grid must be nonempty and finite"):
+            call(grid)
