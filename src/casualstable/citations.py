@@ -109,11 +109,6 @@ def simulate_author(family: AuthorCitations, rng: np.random.Generator) -> int:
     the composed p.g.f. 1 - (1 - qz/(1-(1-q)z))^p.
     """
     papers = sample_sibuya(Sibuya(family.p), rng)
-    if family.q == 1.0:
-        return papers
-    if papers <= 4096:
-        # one geometric draw per paper; covers ~99% of authors
-        return int(rng.geometric(family.q, papers).sum())
     # k + NegativeBinomial(k, q) is a sum of k Geometric(q) draws
     return int(papers + rng.negative_binomial(papers, family.q))
 

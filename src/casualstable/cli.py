@@ -127,23 +127,41 @@ def emit(header: list[str], rows: list[dict], *, out: str | None, as_json: bool)
 # ---------------------------------------------------------------------------
 
 
+# choice -> (constructor, the option dests it takes, in argument order)
 _FAMILIES = {
-    "svh": lambda args: SvhStable(args.lam, args.alpha),
-    "ex1": lambda args: Example1(args.lam, args.gamma, args.kappa, args.m),
-    "ex2": lambda args: Example2(args.lam, args.gamma, args.b),
-    "gamma": lambda args: Gamma(args.b, args.gamma),
-    "ts": lambda args: TemperedStable(args.lam, args.alpha, args.h),
+    "svh": (SvhStable, ("lam", "alpha")),
+    "ex1": (Example1, ("lam", "gamma", "kappa", "m")),
+    "ex2": (Example2, ("lam", "gamma", "b")),
+    "gamma": (Gamma, ("b", "gamma")),
+    "ts": (TemperedStable, ("lam", "alpha", "h")),
 }
 _THINNINGS = {
-    "bernoulli": lambda args: Bernoulli(),
-    "ex1": lambda args: Example1Thin(args.kappa, args.m),
-    "ex2": lambda args: Example2Thin(args.b),
+    "bernoulli": (Bernoulli, ()),
+    "ex1": (Example1Thin, ("kappa", "m")),
+    "ex2": (Example2Thin, ("b",)),
 }
+# the family and thinning options of each subcommand, with their defaults
+_STABILITY_DEFAULTS = {"lam": 1.0, "alpha": 0.5, "gamma": 1.0, "kappa": 0.0, "m": 1, "b": 1.0, "h": 1.0}
+_PGF_DEFAULTS = {"kappa": 0.0, "m": 1, "b": 0.0}
+
+
+def _build(args, choice: str, table: dict, defaults: dict):
+    """The chosen object from its own options; setting any other is an error.
+
+    An option is set when it is not None: a flag or a config key set it.
+    """
+    constructor, dests = table[choice]
+    given = {dest: getattr(args, dest) for dest in defaults}
+    for dest, value in given.items():
+        if value is not None and dest not in dests:
+            flag = "--lambda" if dest == "lam" else f"--{dest}"
+            raise ParameterError(f"{choice} does not take {flag}")
+    return constructor(*(defaults[dest] if given[dest] is None else given[dest] for dest in dests))
 
 
 def _families_from_args(args):
     """The chosen family and its matched thinning (None for a Laplace family)."""
-    family = _FAMILIES[args.family](args)
+    family = _build(args, args.family, _FAMILIES, _STABILITY_DEFAULTS)
     if isinstance(family, LaplaceFamily):
         return family, None
     pairs = family.matched_pairs()
@@ -185,7 +203,7 @@ def cmd_check_stability(args) -> int:
 
 def cmd_check_pgf(args) -> int:
     _check_tol(args.tol)
-    thinning = _THINNINGS[args.thinning](args)
+    thinning = _build(args, args.thinning, _THINNINGS, _PGF_DEFAULTS)
     header = ["p", "min_coeff", "argmin_k", "tol_neg", "norm_defect"]
     rows = []
     worst_row = None
@@ -316,13 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("check-stability", help="residuals of the defining stability identity")
     st.add_argument("--family", required=True, choices=list(_FAMILIES))
-    st.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    st.add_argument("--alpha", type=float, default=0.5)
-    st.add_argument("--gamma", type=float, default=1.0)
-    st.add_argument("--kappa", type=float, default=0.0)
-    st.add_argument("--m", type=int, default=1)
-    st.add_argument("--b", type=float, default=1.0)
-    st.add_argument("--h", type=float, default=1.0)
+    st.add_argument("--lambda", dest="lam", type=float)
+    st.add_argument("--alpha", type=float)
+    st.add_argument("--gamma", type=float)
+    st.add_argument("--kappa", type=float)
+    st.add_argument("--m", type=int)
+    st.add_argument("--b", type=float)
+    st.add_argument("--h", type=float)
     st.add_argument("--n", default="2..10", help="n range: start..end[:step] or comma list")
     st.add_argument("--p", type=float, default=None, help="thinning parameter (default: solve p(n))")
     st.add_argument("--tol", type=float, default=DEFAULT_STABILITY_TOL)
@@ -331,9 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("check-pgf", help="coefficient nonnegativity of thinning p.g.f.s")
     pg.add_argument("--thinning", required=True, choices=list(_THINNINGS))
-    pg.add_argument("--kappa", type=float, default=0.0)
-    pg.add_argument("--m", type=int, default=1)
-    pg.add_argument("--b", type=float, default=0.0)
+    pg.add_argument("--kappa", type=float)
+    pg.add_argument("--m", type=int)
+    pg.add_argument("--b", type=float)
     pg.add_argument("--p", default="0.5", help="comma list of thinning parameters")
     pg.add_argument("--n-max", dest="n_max", type=int, default=200)
     pg.add_argument("--radius", type=float, default=0.9)

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ParameterError",
+    "UnsupportedError",
+    "PrecisionError",
+    "IterationCapError",
+    "TableError",
+    "InsufficientDataError",
+]
+
 
 class ParameterError(ValueError):
     """A parameter violates its documented domain."""

@@ -39,7 +39,9 @@ __all__ = [
     "PmfTable",
     "extract_pmf",
     "validate_pgf",
+    "radial_norm_defect",
     "as_pgf_callable",
+    "fft_points",
     "DEFAULT_RADIUS",
     "DEFAULT_TOL_NEG",
 ]
@@ -174,9 +176,10 @@ def validate_pgf(pgf, n_max: int = 200, tol: float = 1e-8) -> ResidualReport:
     """Check that a closure is a p.g.f.: nonnegative coefficients, mass 1.
 
     Returns a report whose ``sup_residual`` is the nonnegativity
-    violation max(0, -min coefficient); coefficients above -tol count as
-    nonnegative up to extraction error.  The normalization defect
-    |P(1-) - 1| (radial limit) is recorded in ``grid_spec``.
+    violation max(0, -min coefficient), for the caller to compare with
+    its own bound.  ``tol`` is only recorded in ``grid_spec``, next to
+    the normalization defect |P(1-) - 1| (radial limit); it is not
+    enforced.
     """
     table = extract_pmf(pgf, n_max=n_max)
     defect = radial_norm_defect(pgf)

@@ -116,6 +116,69 @@ def test_bad_tolerance_or_exponent_exits_two_before_any_row(argv, message, capsy
     assert message in err
 
 
+# each family's and thinning's own options, at values that pass at n = 2, 3
+OWN_OPTIONS = {
+    "check-stability": {
+        "svh": ["--lambda", "2", "--alpha", "0.7"],
+        "ex1": ["--lambda", "2", "--gamma", "0.5", "--kappa", "0.6", "--m", "2"],
+        "ex2": ["--lambda", "2", "--gamma", "1.5", "--b", "0.2"],
+        "gamma": ["--b", "2", "--gamma", "3"],
+        "ts": ["--lambda", "2", "--alpha", "0.5", "--h", "2"],
+    },
+    "check-pgf": {
+        "bernoulli": [],
+        "ex1": ["--kappa", "0.6", "--m", "2"],
+        "ex2": ["--b", "0.3"],
+    },
+}
+CHOICE_FLAG = {"check-stability": "--family", "check-pgf": "--thinning"}
+SIZE = {"check-stability": ["--n", "2..3"], "check-pgf": ["--n-max", "20", "--p", "0.5"]}
+
+
+def test_own_options_cover_every_choice():
+    assert list(OWN_OPTIONS["check-stability"]) == list(cli._FAMILIES)
+    assert list(OWN_OPTIONS["check-pgf"]) == list(cli._THINNINGS)
+
+
+def foreign_pairs() -> list[tuple[str, str, str]]:
+    """(subcommand, choice, option) for every option of the subcommand's
+    families or thinnings that the choice does not take."""
+    pairs = []
+    for command, own in OWN_OPTIONS.items():
+        flags = sorted({flag for argv in own.values() for flag in argv[::2]})
+        for choice, argv in own.items():
+            pairs += [(command, choice, flag) for flag in flags if flag not in argv[::2]]
+    return pairs
+
+
+@pytest.mark.parametrize("command, choice, flag", foreign_pairs())
+def test_foreign_option_exits_two_naming_it(command, choice, flag, capsys):
+    argv = [command, CHOICE_FLAG[command], choice, *OWN_OPTIONS[command][choice], *SIZE[command], flag, "1"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert flag in err and choice in err
+
+
+@pytest.mark.parametrize(
+    "command, choice", [(command, choice) for command, own in OWN_OPTIONS.items() for choice in own]
+)
+def test_own_options_are_accepted(command, choice, capsys):
+    # negative control for the foreign-option refusal
+    argv = [command, CHOICE_FLAG[command], choice, *OWN_OPTIONS[command][choice], *SIZE[command]]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+
+
+def test_foreign_option_from_config_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "ts.cfg"
+    cfg.write_text("h = 2\n")
+    code, out, err = run(["--config", str(cfg), "check-stability", "--family", "svh", "--n", "2..3"], capsys)
+    assert (code, out) == (2, "")
+    assert "--h" in err
+    code, out, err = run(["--config", str(cfg), "check-stability", "--family", "ts", "--n", "2..3"], capsys)
+    assert code == 0
+
+
 # every subcommand at small sizes, once per family or thinning choice;
 # Example2 needs b in (-1, 1), and 20,000 authors give a finite tail exponent
 GUARD_BASES = {

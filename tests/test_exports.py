@@ -1,5 +1,6 @@
 """Every exported name resolves: ``__all__`` of the package and of each
-module; importing the package, and drawing citations or Sibuya values,
+module; the package exports exactly its library modules' ``__all__``
+lists, each name declared once; importing the package, and drawing citations or Sibuya values,
 leaves ``scipy.stats`` and ``scipy.special`` unloaded; and the package
 imports no third-party module beyond its declared runtime dependencies."""
 
@@ -24,6 +25,21 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [item for item in getattr(module, "__all__", ()) if not hasattr(module, item)]
     assert missing == []
+
+
+LIBRARY = [importlib.import_module(name) for name in MODULES[1:] if name != "casualstable.cli"]
+
+
+def test_every_library_module_declares_its_own_names():
+    assert [module.__name__ for module in LIBRARY if not hasattr(module, "__all__")] == []
+    declared = [name for module in LIBRARY for name in module.__all__]
+    assert sorted({name for name in declared if declared.count(name) > 1}) == []
+
+
+def test_package_exports_exactly_its_modules_names():
+    # the package re-exports each library module's __all__ in module
+    # order and adds only __version__
+    assert casualstable.__all__ == [name for module in LIBRARY for name in module.__all__] + ["__version__"]
 
 
 def _loaded_after(code: str) -> str:
