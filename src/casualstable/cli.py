@@ -116,8 +116,11 @@ def emit(header: list[str], rows: list[dict], *, out: str | None, as_json: bool)
             lines.append(",".join(fmt(row.get(key)) for key in header))
     text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w") as handle:
+                handle.write(text)
+        except OSError as error:
+            raise ParameterError(f"cannot write --out {out!r}: {error}") from error
     else:
         sys.stdout.write(text)
 
@@ -127,42 +130,43 @@ def emit(header: list[str], rows: list[dict], *, out: str | None, as_json: bool)
 # ---------------------------------------------------------------------------
 
 
-# choice -> (constructor, the option dests it takes, in argument order)
+# choice -> (constructor, {option dest: default}), in argument order
 _FAMILIES = {
-    "svh": (SvhStable, ("lam", "alpha")),
-    "ex1": (Example1, ("lam", "gamma", "kappa", "m")),
-    "ex2": (Example2, ("lam", "gamma", "b")),
-    "gamma": (Gamma, ("b", "gamma")),
-    "ts": (TemperedStable, ("lam", "alpha", "h")),
+    "svh": (SvhStable, {"lam": 1.0, "alpha": 0.5}),
+    "ex1": (Example1, {"lam": 1.0, "gamma": 1.0, "kappa": 0.0, "m": 1}),
+    "ex2": (Example2, {"lam": 1.0, "gamma": 1.0, "b": 0.0}),
+    "gamma": (Gamma, {"b": 1.0, "gamma": 1.0}),
+    "ts": (TemperedStable, {"lam": 1.0, "alpha": 0.5, "h": 1.0}),
 }
 _THINNINGS = {
-    "bernoulli": (Bernoulli, ()),
-    "ex1": (Example1Thin, ("kappa", "m")),
-    "ex2": (Example2Thin, ("b",)),
+    "bernoulli": (Bernoulli, {}),
+    "ex1": (Example1Thin, {"kappa": 0.0, "m": 1}),
+    "ex2": (Example2Thin, {"b": 0.0}),
 }
-# the family and thinning options of each subcommand, with their defaults
-_STABILITY_DEFAULTS = {"lam": 1.0, "alpha": 0.5, "gamma": 1.0, "kappa": 0.0, "m": 1, "b": 1.0, "h": 1.0}
-_PGF_DEFAULTS = {"kappa": 0.0, "m": 1, "b": 0.0}
 
 
-def _build(args, choice: str, table: dict, defaults: dict):
-    """The chosen object from its own options; setting any other is an error.
+def _build(args, choice: str, table: dict):
+    """The chosen object from its own options; setting another choice's is an error.
 
     An option is set when it is not None: a flag or a config key set it.
+    An unset option takes the chosen entry's default.
     """
-    constructor, dests = table[choice]
-    given = {dest: getattr(args, dest) for dest in defaults}
-    for dest, value in given.items():
-        if value is not None and dest not in dests:
-            flag = "--lambda" if dest == "lam" else f"--{dest}"
-            raise ParameterError(f"{choice} does not take {flag}")
-    return constructor(*(defaults[dest] if given[dest] is None else given[dest] for dest in dests))
+    constructor, defaults = table[choice]
+    for _, others in table.values():
+        for dest in others:
+            if dest not in defaults and getattr(args, dest) is not None:
+                flag = "--lambda" if dest == "lam" else f"--{dest}"
+                raise ParameterError(f"{choice} does not take {flag}")
+    given = [getattr(args, dest) for dest in defaults]
+    return constructor(*(default if value is None else value for value, default in zip(given, defaults.values())))
 
 
 def _families_from_args(args):
     """The chosen family and its matched thinning (None for a Laplace family)."""
-    family = _build(args, args.family, _FAMILIES, _STABILITY_DEFAULTS)
+    family = _build(args, args.family, _FAMILIES)
     if isinstance(family, LaplaceFamily):
+        if args.p is not None:
+            raise ParameterError(f"{args.family} does not take --p")
         return family, None
     pairs = family.matched_pairs()
     if not pairs:
@@ -203,7 +207,7 @@ def cmd_check_stability(args) -> int:
 
 def cmd_check_pgf(args) -> int:
     _check_tol(args.tol)
-    thinning = _build(args, args.thinning, _THINNINGS, _PGF_DEFAULTS)
+    thinning = _build(args, args.thinning, _THINNINGS)
     header = ["p", "min_coeff", "argmin_k", "tol_neg", "norm_defect"]
     rows = []
     worst_row = None
@@ -248,6 +252,8 @@ def cmd_citations(args) -> int:
     ]
     if args.replicates < 1:
         raise ParameterError(f"--replicates must be a positive integer, not {args.replicates}")
+    if args.tv_check and args.tv_atoms < 1:
+        raise ParameterError(f"--tv-atoms must be a positive integer, not {args.tv_atoms}")
     family = FieldCitations(args.lam, args.p, args.q)
     rows = []
     for i in range(args.replicates):
@@ -283,10 +289,8 @@ def cmd_converge(args) -> int:
         h = matched_exponential(target)
     elif args.h_kind == "mismatched":
         h = matched_exponential(Gamma(2.0 * target.b, target.gamma_shape))
-    elif args.h_kind == "target":
+    else:  # target
         h = target.laplace
-    else:
-        raise ParameterError(f"unknown h kind {args.h_kind!r}")
     ns = parse_int_range(args.n)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -329,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="casualstable",
         description="stability checkers and samplers for discrete/casual stable families",
     )
-    parser.add_argument("--config", default=None, help="flat key=value file of defaults (flags win)")
+    parser.add_argument("--config", default=None, help="flat key=value file of the subcommand's own flags (flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     st = sub.add_parser("check-stability", help="residuals of the defining stability identity")
@@ -386,9 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(cv)
     cv.set_defaults(func=cmd_converge)
 
-    # subparsers parse into a fresh namespace, so config defaults must be
-    # pushed onto each of them, not just the root parser
-    parser.subcommand_parsers = [st, pg, ci, cv]
+    parser.subcommand_parsers = sub.choices  # name -> subparser
     return parser
 
 
@@ -418,21 +420,17 @@ def _config_path_from_argv(argv: list[str]) -> tuple[str | None, list[str]]:
     return path, remaining
 
 
-def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
-    """Defaults from a flat ``key = value`` (or ``key value``) file.
+def _config_flags(path: str, subparser: argparse.ArgumentParser) -> list[str]:
+    """The chosen subcommand's own flags from a flat ``key = value`` (or ``key value``) file.
 
-    A key is the destination of some subcommand's option, with dashes
-    read as underscores.  Values stay raw strings, so argparse converts
-    each with the option's own ``type``; a flag such as ``json`` takes
-    ``true`` or ``false``.  Unknown keys are rejected.
+    A key is the destination of one of the subcommand's options, with
+    dashes read as underscores, and becomes ``--flag=value``, so argparse
+    parses each value as it parses the flag.  A flag such as ``json``
+    takes ``true`` (the bare flag) or ``false`` (no flag).  A key the
+    subcommand has no option for is rejected.
     """
-    actions = {
-        action.dest: action
-        for sub in parser.subcommand_parsers
-        for action in sub._actions
-        if action.dest != "help"
-    }
-    values: dict = {}
+    actions = {action.dest: action for action in subparser._actions if action.dest != "help"}
+    flags = []
     try:
         handle = open(path)
     except OSError as error:
@@ -449,13 +447,15 @@ def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
             value = value.strip()
             action = actions.get(key)
             if action is None:
-                raise ParameterError(f"unknown config key {key!r} in {path!r}")
-            if action.nargs == 0:  # a flag: no value of its own to convert
-                if value not in ("true", "false"):
-                    raise ParameterError(f"config flag {key!r} must be true or false, not {value!r}")
-                value = value == "true"
-            values[key] = value
-    return values
+                raise ParameterError(f"config key {key!r} in {path!r} is not an option of {subparser.prog}")
+            flag = action.option_strings[0]
+            if action.nargs != 0:
+                flags.append(f"{flag}={value}")
+            elif value not in ("true", "false"):  # a flag: no value of its own to parse
+                raise ParameterError(f"config flag {key!r} must be true or false, not {value!r}")
+            elif value == "true":
+                flags.append(flag)
+    return flags
 
 
 def main(argv=None) -> int:
@@ -463,10 +463,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         config_path, argv = _config_path_from_argv(argv)
-        if config_path is not None:
-            overrides = _load_config(config_path, parser)
-            for target in [parser, *parser.subcommand_parsers]:
-                target.set_defaults(**overrides)
+        if config_path is not None and argv and argv[0] in parser.subcommand_parsers:
+            # right after the subcommand name, so that flags typed later win
+            argv[1:1] = _config_flags(config_path, parser.subcommand_parsers[argv[0]])
         args = parser.parse_args(argv)
         return args.func(args)
     except _USAGE_ERRORS as error:

@@ -186,7 +186,7 @@ class SvhStable(PgfFamily):
         return Example1(lam=self.lam, gamma=self.alpha, kappa=0.0, m=1)
 
     def matched_pairs(self) -> tuple:
-        return ((Bernoulli(), self.alpha), *self.as_example1().matched_pairs())
+        return self.as_example1().matched_pairs()
 
     def pgf_from_complement(self, u):
         return np.exp(-self.lam * _power(u, self.alpha))
@@ -219,9 +219,11 @@ class Example1(PgfFamily):
 
     def matched_pairs(self) -> tuple:
         try:
-            return ((Example1Thin(self.kappa, self.m), self.gamma),)
+            pair = (Example1Thin(self.kappa, self.m), self.gamma)
         except ParameterError:  # kappa = 0 has no normalizer family for m > 1
             return ()
+        # kappa = 0, m = 1 is SvhStable, whose Q_p is also the Bernoulli map
+        return ((Bernoulli(), self.gamma), pair) if (self.kappa, self.m) == (0.0, 1) else (pair,)
 
     def w_from_complement(self, u):
         # W = v/((1-kappa) + kappa v) with v = 1 - z^m; denominator equals

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, UnsupportedError
 from .extraction import ResidualReport
 from .families import LaplaceFamily, PgfFamily, ThinningFamily, check_kind, check_n
 
@@ -165,23 +165,17 @@ def solve_pn(family, thinning, n: int) -> float:
 
     Matched (family, thinning) pairs, as the family reports them in
     ``matched_pairs``, admit the closed form p(n) = n^(-1/exponent); the
-    residual checker certifies the choice.  Unmatched pairs fall back to
-    a golden-section search minimizing the stability residual over the
-    thinning's admissible interval.  Raises when p(n) lands outside the
-    thinning family's domain (m > 1 needs n^(-1/gamma) < kappa).
+    residual checker certifies the choice.  Raises ``UnsupportedError``
+    for an unmatched pair, and ``ParameterError`` when p(n) lands outside
+    the thinning family's domain (m > 1 needs n^(-1/gamma) < kappa).
     """
     check_n(n)
     if n == 1:
         return 1.0
     check_kind(thinning, ThinningFamily, "thinning")
     exponent = dict(family.matched_pairs()).get(thinning) if isinstance(family, PgfFamily) else None
-    if exponent is not None:
-        p = float(n) ** (-1.0 / exponent)
-        thinning.check_p(p)  # admissibility: raises outside the domain
-        return p
-    z = default_z_grid()
-
-    def objective(p: float) -> float:
-        return discrete_stability_residual(family, thinning, n, p, z).sup_residual
-
-    return _golden_section(objective, thinning)
+    if exponent is None:
+        raise UnsupportedError(f"{thinning!r} is not a matched thinning of {family!r}")
+    p = float(n) ** (-1.0 / exponent)
+    thinning.check_p(p)  # admissibility: raises outside the domain
+    return p

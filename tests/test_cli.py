@@ -65,6 +65,26 @@ def test_family_without_matched_thinning_exits_two(capsys):
     assert "no thinning family is matched" in err
 
 
+def test_ex2_family_default_lies_in_its_domain(capsys):
+    # b defaults to 0, as for the ex2 thinning: (-1, 1) excludes 1
+    code, out, err = run(["check-stability", "--family", "ex2", "--n", "2..3"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "n,p,residual,argmax_z"
+
+
+@pytest.mark.parametrize("family", ["gamma", "ts"])
+def test_laplace_family_refuses_p(family, tmp_path, capsys):
+    # the casual check has no thinning parameter: --p is refused, not ignored
+    code, out, err = run(["check-stability", "--family", family, "--n", "2..3", "--p", "nan"], capsys)
+    assert (code, out) == (2, "")
+    assert "--p" in err and family in err
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("p = 0.5\n")
+    code, out, err = run(["--config", str(cfg), "check-stability", "--family", family, "--n", "2..3"], capsys)
+    assert (code, out) == (2, "")
+    assert "--p" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -195,8 +215,8 @@ GUARD_BASES = {
 def float_options() -> list[tuple[str, str]]:
     """(subcommand, option) for every float-typed option of the parser."""
     return [
-        (sub.prog.split()[-1], action.option_strings[0])
-        for sub in cli.build_parser().subcommand_parsers
+        (command, action.option_strings[0])
+        for command, sub in cli.build_parser().subcommand_parsers.items()
         for action in sub._actions
         if action.type is float
     ]
@@ -223,6 +243,58 @@ def test_guard_flags_a_run_that_prints_nan(capsys):
     out = capsys.readouterr().out
     assert code == 0 and "nan" in out
     assert not refused_or_clean(code, out)
+
+
+# the citations base reaches --tv-atoms through the TV cross-check
+INT_GUARD_BASES = {
+    **GUARD_BASES,
+    "citations": [
+        ["--lambda", "20000", "--replicates", "1"],
+        ["--lambda", "1", "--replicates", "1", "--tv-check", "--tv-fields", "1000", "--tv-atoms", "20"],
+    ],
+}
+
+
+def int_options() -> list[tuple[str, str]]:
+    """(subcommand, option) for every int-typed option of the parser."""
+    return [
+        (command, action.option_strings[0])
+        for command, sub in cli.build_parser().subcommand_parsers.items()
+        for action in sub._actions
+        if action.type is int
+    ]
+
+
+def guarded_run(argv, capsys):
+    """(exit code, stdout) of one run; an exception escaping main stands in for the code."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:  # argparse's usage errors
+        code = stop.code
+    except Exception as error:
+        code = error
+    return code, capsys.readouterr().out
+
+
+def refused_or_finished(code, out: str) -> bool:
+    """A refused run exits 2 and prints nothing; a finished run exits 0 or 1."""
+    return (code == 2 and out == "") or code in (0, 1)
+
+
+@pytest.mark.parametrize("command, option", int_options())
+def test_zero_or_negative_int_option_is_refused_or_finishes(command, option, capsys):
+    for base in INT_GUARD_BASES[command]:
+        for value in ("0", "-1"):
+            code, out = guarded_run([command, *base, f"{option}={value}"], capsys)
+            assert refused_or_finished(code, out), (command, base, option, value, code, out)
+
+
+def test_int_guard_reports_an_escaping_exception(capsys):
+    # negative control: an error raised out of main fails the guard
+    with mock.patch.object(cli, "cmd_citations", side_effect=ZeroDivisionError("float division by zero")):
+        code, out = guarded_run(["citations", "--replicates", "1"], capsys)
+    assert isinstance(code, ZeroDivisionError)
+    assert not refused_or_finished(code, out)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +350,13 @@ def test_citations_rerun_is_byte_identical(tmp_path, capsys):
     assert first.read_bytes().endswith(b"\n")
 
 
+@pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["missing-directory", "directory"])
+def test_unwritable_out_exits_two(target, tmp_path, capsys):
+    code, out, err = run(["converge", "--n", "2,4", "--out", str(tmp_path / target)], capsys)
+    assert (code, out) == (2, "")
+    assert "cannot write --out" in err
+
+
 def test_citations_tv_check_row(capsys):
     code, out, err = run(
         [
@@ -303,6 +382,15 @@ def test_citations_rejects_non_positive_replicates(replicates, capsys):
     assert code == 2
     assert out == ""
     assert "--replicates" in err
+
+
+@pytest.mark.parametrize("atoms", ["0", "-1"])
+def test_citations_tv_check_rejects_non_positive_atoms(atoms, capsys):
+    code, out, err = run(
+        ["citations", "--lambda", "1", "--replicates", "1", "--tv-check", f"--tv-atoms={atoms}"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "--tv-atoms" in err
 
 
 def test_citations_tv_check_enforces_its_certificate(capsys):
@@ -523,6 +611,33 @@ def test_config_unknown_key_exits_two_naming_it(tmp_path, capsys):
     assert "lamda" in err
 
 
+@pytest.mark.parametrize("line", ["h = 2", "tv_atoms = 5", "n = 50"])
+def test_config_key_of_another_subcommand_exits_two_naming_it(line, tmp_path, capsys):
+    # check-pgf has no --h, --tv-atoms or --n; n is not read as a prefix of --n-max
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(["--config", str(cfg), "check-pgf", "--thinning", "bernoulli", "--n-max", "20"], capsys)
+    assert (code, out) == (2, "")
+    assert repr(line.split()[0]) in err and "check-pgf" in err
+
+
+def test_config_key_of_the_chosen_subcommand_is_read(tmp_path, capsys):
+    # negative control for the refusal above
+    cfg = tmp_path / "own.cfg"
+    cfg.write_text("n = 2..3\n")
+    code, out, err = run(["--config", str(cfg), "check-stability", "--family", "svh"], capsys)
+    assert (code, err) == (0, "")
+    assert [line.split(",")[0] for line in out.splitlines()] == ["n", "2", "3"]
+
+
+def test_config_key_sets_the_required_choice(tmp_path, capsys):
+    cfg = tmp_path / "family.cfg"
+    cfg.write_text("family = svh\nalpha = 0.8\n")
+    code, out, err = run(["--config", str(cfg), "check-stability", "--n", "2"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("2,0.42044820762685725,")
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 CITATION_OPTIONS = {
     "lam": FINITE,
@@ -557,8 +672,7 @@ def _parsed_citations_namespace(argv) -> dict:
 def test_config_round_trips_to_the_flag_namespace(values, dashed):
     # the same option values, once as config lines and once as flags,
     # parse to the same namespace
-    parser = cli.build_parser()
-    (citations,) = [sub for sub in parser.subcommand_parsers if sub.prog.endswith(" citations")]
+    citations = cli.build_parser().subcommand_parsers["citations"]
     flag_of = {action.dest: action.option_strings[0] for action in citations._actions}
     flags = []
     lines = []

@@ -24,7 +24,7 @@ def unknown_flags(text: str) -> list[str]:
     """Flags named on a ``casualstable`` line that its subcommand lacks, or
     in backticked prose that no parser knows, in order of appearance."""
     parser = cli.build_parser()
-    options = {sub.prog.split()[-1]: set(sub._option_string_actions) for sub in parser.subcommand_parsers}
+    options = {command: set(sub._option_string_actions) for command, sub in parser.subcommand_parsers.items()}
     every = set(parser._option_string_actions).union(*options.values())
     unknown = []
     for line in readme_commands(text):

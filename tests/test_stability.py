@@ -18,6 +18,7 @@ from casualstable import (
     ParameterError,
     SvhStable,
     TemperedStable,
+    UnsupportedError,
 )
 from casualstable.stability import (
     casual_stability_residual,
@@ -74,7 +75,7 @@ def test_casual_identity_tempered_stable():
 
 
 # ---------------------------------------------------------------------------
-# solver: closed forms, admissibility, fallback
+# solver: closed forms, admissibility, unmatched pairs
 # ---------------------------------------------------------------------------
 
 
@@ -90,10 +91,17 @@ def test_solve_pn_closed_forms():
 def test_matched_pairs_live_on_the_families():
     assert SvhStable(1.0, 0.5).matched_pairs() == ((Bernoulli(), 0.5), (Example1Thin(0.0, 1), 0.5))
     assert FieldCitations(1.0, 0.5, 0.3).matched_pairs() == ((Example1Thin(0.7, 1), 0.5),)
-    # kappa = 0 has no m = 2 normalizer: unmatched, so p(n) comes from the search
+    # kappa = 0 has no m = 2 normalizer: unmatched, so there is no p(n)
     family = Example1(1.0, 0.6, 0.0, 2)
     assert family.matched_pairs() == ()
-    assert 0.0 < solve_pn(family, Bernoulli(), 2) < 1.0
+    with pytest.raises(UnsupportedError, match="not a matched thinning"):
+        solve_pn(family, Bernoulli(), 2)
+
+
+def test_example1_at_kappa_zero_reports_the_svh_pairs():
+    assert Example1(1.0, 0.6, 0.0, 1).matched_pairs() == SvhStable(1.0, 0.6).matched_pairs()
+    assert Example1(1.0, 0.6, 0.0, 1).matched_pairs() == ((Bernoulli(), 0.6), (Example1Thin(0.0, 1), 0.6))
+    assert Example1(1.0, 0.6, 0.3, 1).matched_pairs() == ((Example1Thin(0.3, 1), 0.6),)
 
 
 def test_solve_pn_rejects_bad_n():
@@ -110,9 +118,8 @@ def test_solve_pn_inadmissible_when_pn_exceeds_kappa():
 
 
 def test_solve_pn_fallback_recovers_disguised_match():
-    # Example1 with kappa = 0, m = 1 is SvhStable with alpha = gamma, but
-    # the (Example1, Bernoulli) pair has no closed-form entry, so this
-    # exercises the golden-section fallback against a known answer.
+    # Example1 with kappa = 0, m = 1 is SvhStable with alpha = gamma, so
+    # it reports the Bernoulli pair and p(n) has the closed form
     family = Example1(1.0, 0.6, 0.0, 1)
     p = solve_pn(family, Bernoulli(), 4)
     assert isinstance(p, float)
