@@ -12,7 +12,8 @@ Output is CSV with a fixed header per command (``--json`` switches to
 one JSON object per line with identical field names).  Floats are
 printed with 17 significant digits so round trips are exact and reruns
 are byte-identical.  Exit codes: 0 success, 1 check failure, 2
-usage/domain error.
+usage/domain error, also for an abbreviated ``--config`` (spell it in
+full) and for ``--tv-atoms`` or ``--tv-fields`` without ``--tv-check``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     TableError,
     UnsupportedError,
 )
-from .extraction import extract_pmf, radial_norm_defect
+from .extraction import DEFAULT_RADIUS, extract_pmf, radial_norm_defect
 from .families import (
     Bernoulli,
     Example1,
@@ -59,7 +60,7 @@ DEFAULT_STABILITY_TOL = 1e-10
 DEFAULT_COEFF_TOL = 1e-8
 # largest admissible certified error of the TV distance, 0.5 (atoms + 1) tol_neg
 TV_CERTIFICATE_TOL = 0.01
-_USAGE_ERRORS = (ParameterError, UnsupportedError, TableError, InsufficientDataError)
+_USAGE_ERRORS = (ParameterError, UnsupportedError, TableError, InsufficientDataError, argparse.ArgumentError)
 _CHECK_ERRORS = (PrecisionError, IterationCapError)
 
 
@@ -130,7 +131,8 @@ def emit(header: list[str], rows: list[dict], *, out: str | None, as_json: bool)
 # ---------------------------------------------------------------------------
 
 
-# choice -> (constructor, {option dest: default}), in argument order
+# choice -> (constructor, {option dest: default}), in argument order; each
+# option becomes one flag of its subcommand, typed like its default
 _FAMILIES = {
     "svh": (SvhStable, {"lam": 1.0, "alpha": 0.5}),
     "ex1": (Example1, {"lam": 1.0, "gamma": 1.0, "kappa": 0.0, "m": 1}),
@@ -145,6 +147,11 @@ _THINNINGS = {
 }
 
 
+def _flag(dest: str) -> str:
+    """The command-line spelling of a family or thinning option."""
+    return "--lambda" if dest == "lam" else f"--{dest}"
+
+
 def _build(args, choice: str, table: dict):
     """The chosen object from its own options; setting another choice's is an error.
 
@@ -155,8 +162,7 @@ def _build(args, choice: str, table: dict):
     for _, others in table.values():
         for dest in others:
             if dest not in defaults and getattr(args, dest) is not None:
-                flag = "--lambda" if dest == "lam" else f"--{dest}"
-                raise ParameterError(f"{choice} does not take {flag}")
+                raise ParameterError(f"{choice} does not take {_flag(dest)}")
     given = [getattr(args, dest) for dest in defaults]
     return constructor(*(default if value is None else value for value, default in zip(given, defaults.values())))
 
@@ -252,8 +258,11 @@ def cmd_citations(args) -> int:
     ]
     if args.replicates < 1:
         raise ParameterError(f"--replicates must be a positive integer, not {args.replicates}")
-    if args.tv_check and args.tv_atoms < 1:
-        raise ParameterError(f"--tv-atoms must be a positive integer, not {args.tv_atoms}")
+    for flag, value in (("--tv-atoms", args.tv_atoms), ("--tv-fields", args.tv_fields)):
+        if value is not None and not args.tv_check:
+            raise ParameterError(f"{flag} needs --tv-check")
+        if value is not None and value < 1:
+            raise ParameterError(f"{flag} must be a positive integer, not {value}")
     family = FieldCitations(args.lam, args.p, args.q)
     rows = []
     for i in range(args.replicates):
@@ -272,10 +281,12 @@ def cmd_citations(args) -> int:
             }
         )
     if args.tv_check:
+        atoms = 100 if args.tv_atoms is None else args.tv_atoms
+        fields = 100_000 if args.tv_fields is None else args.tv_fields
         # each of the atoms + 1 masses is certified to within tol_neg
-        table = extract_pmf(family, args.tv_atoms, tol=2.0 * TV_CERTIFICATE_TOL / (args.tv_atoms + 1))
-        totals = field_totals(FieldSim(family, Seed(args.seed, args.stream + args.replicates)), args.tv_fields)
-        counts = np.bincount(totals[totals <= args.tv_atoms], minlength=args.tv_atoms + 1)
+        table = extract_pmf(family, atoms, tol=2.0 * TV_CERTIFICATE_TOL / (atoms + 1))
+        totals = field_totals(FieldSim(family, Seed(args.seed, args.stream + args.replicates)), fields)
+        counts = np.bincount(totals[totals <= atoms], minlength=atoms + 1)
         empirical = counts / len(totals)
         tv = 0.5 * float(np.abs(empirical - table.masses).sum())
         rows.append({"record": "tv_check", "tv_distance": tv})
@@ -328,40 +339,42 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="one JSON object per line instead of CSV")
 
 
+def _add_choice(parser: argparse.ArgumentParser, name: str, table: dict) -> None:
+    """The required choice of ``table`` and one flag per option of its entries, typed like its default."""
+    parser.add_argument(f"--{name}", required=True, choices=list(table))
+    types = {dest: type(default) for _, defaults in table.values() for dest, default in defaults.items()}
+    for dest, kind in types.items():
+        parser.add_argument(_flag(dest), dest=dest, type=kind)
+
+
+# takes --config out of argv wherever it stands; its errors reach main as usage errors
+_CONFIG_PARSER = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+_CONFIG_PARSER.add_argument("--config", default=None, help="flat key=value file of the subcommand's own flags (flags win)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casualstable",
         description="stability checkers and samplers for discrete/casual stable families",
+        parents=[_CONFIG_PARSER],
+        allow_abbrev=False,
     )
-    parser.add_argument("--config", default=None, help="flat key=value file of the subcommand's own flags (flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     st = sub.add_parser("check-stability", help="residuals of the defining stability identity")
-    st.add_argument("--family", required=True, choices=list(_FAMILIES))
-    st.add_argument("--lambda", dest="lam", type=float)
-    st.add_argument("--alpha", type=float)
-    st.add_argument("--gamma", type=float)
-    st.add_argument("--kappa", type=float)
-    st.add_argument("--m", type=int)
-    st.add_argument("--b", type=float)
-    st.add_argument("--h", type=float)
+    _add_choice(st, "family", _FAMILIES)
     st.add_argument("--n", default="2..10", help="n range: start..end[:step] or comma list")
     st.add_argument("--p", type=float, default=None, help="thinning parameter (default: solve p(n))")
     st.add_argument("--tol", type=float, default=DEFAULT_STABILITY_TOL)
     _add_common(st)
-    st.set_defaults(func=cmd_check_stability)
 
     pg = sub.add_parser("check-pgf", help="coefficient nonnegativity of thinning p.g.f.s")
-    pg.add_argument("--thinning", required=True, choices=list(_THINNINGS))
-    pg.add_argument("--kappa", type=float)
-    pg.add_argument("--m", type=int)
-    pg.add_argument("--b", type=float)
+    _add_choice(pg, "thinning", _THINNINGS)
     pg.add_argument("--p", default="0.5", help="comma list of thinning parameters")
     pg.add_argument("--n-max", dest="n_max", type=int, default=200)
-    pg.add_argument("--radius", type=float, default=0.9)
+    pg.add_argument("--radius", type=float, default=DEFAULT_RADIUS)
     pg.add_argument("--tol", type=float, default=DEFAULT_COEFF_TOL)
     _add_common(pg)
-    pg.set_defaults(func=cmd_check_pgf)
 
     ci = sub.add_parser(
         "citations",
@@ -376,10 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--stream", type=int, default=0)
     ci.add_argument("--replicates", type=int, default=20)
     ci.add_argument("--tv-check", dest="tv_check", action="store_true")
-    ci.add_argument("--tv-fields", dest="tv_fields", type=int, default=100_000)
-    ci.add_argument("--tv-atoms", dest="tv_atoms", type=int, default=100)
+    ci.add_argument("--tv-fields", dest="tv_fields", type=int)
+    ci.add_argument("--tv-atoms", dest="tv_atoms", type=int)
     _add_common(ci)
-    ci.set_defaults(func=cmd_citations)
 
     cv = sub.add_parser("converge", help="normalized-sum convergence toward a Gamma target")
     cv.add_argument("--b", type=float, default=1.0)
@@ -388,36 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--a", type=float, default=2.0)
     cv.add_argument("--n", default="2,4,8,16,32,64,128,256")
     _add_common(cv)
-    cv.set_defaults(func=cmd_converge)
 
     parser.subcommand_parsers = sub.choices  # name -> subparser
     return parser
-
-
-def _config_path_from_argv(argv: list[str]) -> tuple[str | None, list[str]]:
-    """Extract the --config path and return argv with those tokens removed.
-
-    Stripping lets --config sit before or after the subcommand name even
-    though argparse only registers it on the top-level parser.
-    """
-    path = None
-    remaining = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise ParameterError("--config needs a path")
-            path = argv[i + 1]
-            i += 2
-            continue
-        if token.startswith("--config="):
-            path = token.partition("=")[2]
-            i += 1
-            continue
-        remaining.append(token)
-        i += 1
-    return path, remaining
 
 
 def _config_flags(path: str, subparser: argparse.ArgumentParser) -> list[str]:
@@ -459,15 +444,15 @@ def _config_flags(path: str, subparser: argparse.ArgumentParser) -> list[str]:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        config_path, argv = _config_path_from_argv(argv)
-        if config_path is not None and argv and argv[0] in parser.subcommand_parsers:
+        config, argv = _CONFIG_PARSER.parse_known_args(argv)
+        if config.config is not None and argv and argv[0] in parser.subcommand_parsers:
             # right after the subcommand name, so that flags typed later win
-            argv[1:1] = _config_flags(config_path, parser.subcommand_parsers[argv[0]])
+            argv[1:1] = _config_flags(config.config, parser.subcommand_parsers[argv[0]])
         args = parser.parse_args(argv)
-        return args.func(args)
+        # looked up at call time, so a replaced cmd_ function is the one called
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except _USAGE_ERRORS as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

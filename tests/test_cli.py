@@ -393,6 +393,43 @@ def test_citations_tv_check_rejects_non_positive_atoms(atoms, capsys):
     assert "--tv-atoms" in err
 
 
+@pytest.mark.parametrize("fields", ["0", "-1"])
+def test_citations_tv_check_rejects_non_positive_fields(fields, capsys):
+    code, out, err = run(
+        ["citations", "--lambda", "1", "--replicates", "1", "--tv-check", f"--tv-fields={fields}"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "--tv-fields" in err
+
+
+@pytest.mark.parametrize("option", ["--tv-atoms=-1", "--tv-atoms=100", "--tv-fields=1000"])
+def test_tv_option_without_tv_check_exits_two_naming_it(option, capsys):
+    # the option would be ignored: only the TV cross-check reads it
+    code, out, err = run(["citations", "--lambda", "5", "--replicates", "2", option], capsys)
+    assert (code, out) == (2, "")
+    assert option.partition("=")[0] in err and "--tv-check" in err
+
+
+def test_tv_option_from_config_needs_tv_check(tmp_path, capsys):
+    cfg = tmp_path / "tv.cfg"
+    cfg.write_text("tv_atoms = 5\ntv_fields = 1000\n")
+    code, out, err = run(["--config", str(cfg), "citations", "--lambda", "100", "--replicates", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert "--tv-atoms" in err
+    # negative control: the same keys with the cross-check
+    cfg.write_text("tv_atoms = 5\ntv_fields = 1000\ntv_check = true\n")
+    code, out, err = run(["--config", str(cfg), "citations", "--lambda", "100", "--replicates", "1"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith("tv_check,")
+
+
+def test_tv_options_with_tv_check_are_read(capsys):
+    argv = ["citations", "--lambda", "100", "--replicates", "1", "--tv-check", "--tv-atoms", "5", "--tv-fields", "1000"]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith("tv_check,")
+
+
 def test_citations_tv_check_enforces_its_certificate(capsys):
     # at 400 atoms the summed table bound 0.5 (atoms + 1) tol_neg is far
     # above 0.01, so the distance it would print is meaningless
@@ -659,7 +696,6 @@ def _parsed_citations_namespace(argv) -> dict:
 
     def record(args):
         seen.update(vars(args))
-        del seen["func"]
         return 0
 
     with mock.patch.object(cli, "cmd_citations", record):
@@ -701,6 +737,29 @@ def test_config_value_is_parsed_by_the_option_type(tmp_path, capsys):
         main(["--config", str(cfg), "check-stability", "--family", "ex1", "--n", "2"])
     assert stop.value.code == 2
     assert "--m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_abbreviated_config_exits_two(before, tmp_path, capsys):
+    # an abbreviation must not pass for --config and leave the file unread
+    cfg = tmp_path / "alpha.cfg"
+    cfg.write_text("alpha = 0.9\n")
+    command, config = ["check-stability", "--family", "svh", "--n", "2"], ["--conf", str(cfg)]
+    code, out = guarded_run(config + command if before else command + config, capsys)
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_full_config_flag_applies_the_file(before, joined, tmp_path, capsys):
+    # negative control for the abbreviation: p(2) = 2^(-1/0.9)
+    cfg = tmp_path / "alpha.cfg"
+    cfg.write_text("alpha = 0.9\n")
+    config = [f"--config={cfg}"] if joined else ["--config", str(cfg)]
+    command = ["check-stability", "--family", "svh", "--n", "2"]
+    code, out, err = run(config + command if before else command + config, capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("2,0.46293735614364517,")
 
 
 def test_missing_config_exits_two(capsys):
