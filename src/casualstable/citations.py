@@ -154,12 +154,12 @@ def simulate_field(cfg: FieldSim) -> SimSummary:
 def field_totals(cfg: FieldSim, n_fields: int) -> np.ndarray:
     """Array of independent field totals (bulk form of ``simulate_field``).
 
-    The field law is ``Example1`` with kappa = 1 - q, m = 1, so the totals
-    are drawn by its compound-Poisson sampler.
+    The field law is compound Poisson, Poisson(lam) many
+    AuthorCitations(p, q) jumps, so the totals are drawn by ``ex1_rvs``.
     """
     if n_fields < 1:
         raise ParameterError("n_fields must be >= 1")
-    return ex1_rvs(cfg.family.as_example1(), make_rng(cfg.seed), n_fields)
+    return ex1_rvs(cfg.family, make_rng(cfg.seed), n_fields)
 
 
 def tail_exponent(samples) -> float:

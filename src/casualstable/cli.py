@@ -12,8 +12,8 @@ Output is CSV with a fixed header per command (``--json`` switches to
 one JSON object per line with identical field names).  Floats are
 printed with 17 significant digits so round trips are exact and reruns
 are byte-identical.  Exit codes: 0 success, 1 check failure, 2
-usage/domain error, also for an abbreviated ``--config`` (spell it in
-full) and for ``--tv-atoms`` or ``--tv-fields`` without ``--tv-check``.
+usage/domain error, also for an abbreviated flag (spell every flag in full)
+and for ``--tv-atoms`` or ``--tv-fields`` without ``--tv-check``.
 """
 
 from __future__ import annotations
@@ -361,14 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    st = sub.add_parser("check-stability", help="residuals of the defining stability identity")
+    st = sub.add_parser("check-stability", help="residuals of the defining stability identity", allow_abbrev=False)
     _add_choice(st, "family", _FAMILIES)
     st.add_argument("--n", default="2..10", help="n range: start..end[:step] or comma list")
     st.add_argument("--p", type=float, default=None, help="thinning parameter (default: solve p(n))")
     st.add_argument("--tol", type=float, default=DEFAULT_STABILITY_TOL)
     _add_common(st)
 
-    pg = sub.add_parser("check-pgf", help="coefficient nonnegativity of thinning p.g.f.s")
+    pg = sub.add_parser("check-pgf", help="coefficient nonnegativity of thinning p.g.f.s", allow_abbrev=False)
     _add_choice(pg, "thinning", _THINNINGS)
     pg.add_argument("--p", default="0.5", help="comma list of thinning parameters")
     pg.add_argument("--n-max", dest="n_max", type=int, default=200)
@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ci = sub.add_parser(
         "citations",
-        help="simulate fields of the citation model",
+        help="simulate fields of the citation model", allow_abbrev=False,
         epilog="An author's citation count beyond 2^61 is refused: the run exits 1 with a value-cap message. "
         "The chance is about (q 2^61)^(-p)/Gamma(1-p) per draw, one draw in 1.9e9 at p = q = 0.5.",
     )
@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--tv-atoms", dest="tv_atoms", type=int)
     _add_common(ci)
 
-    cv = sub.add_parser("converge", help="normalized-sum convergence toward a Gamma target")
+    cv = sub.add_parser("converge", help="normalized-sum convergence toward a Gamma target", allow_abbrev=False)
     cv.add_argument("--b", type=float, default=1.0)
     cv.add_argument("--gamma", type=float, default=2.0)
     cv.add_argument("--h-kind", dest="h_kind", choices=["matched", "mismatched", "target"], default="matched")

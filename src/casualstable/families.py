@@ -4,7 +4,7 @@ Every distribution handled by this package is specified through a
 transform: a probability generating function (p.g.f.) for the integer
 families, a Laplace transform for the positive continuous ones.  A
 family's kind is its base class: ``PgfFamily``, ``ThinningFamily`` or
-``LaplaceFamily``.
+``LaplaceFamily``; a compound-Poisson one states only its jump law.
 
 P.g.f. families
     SvhStable        P(z) = exp{-lam (1-z)^alpha}
@@ -68,6 +68,7 @@ __all__ = [
     "Sibuya",
     "AuthorCitations",
     "FieldCitations",
+    "CompoundPoisson",
     "Bernoulli",
     "Example1Thin",
     "Example2Thin",
@@ -145,6 +146,13 @@ def _one_minus_zm(u, m: int):
     return u * _geometric_sum(1.0 - u, m)
 
 
+def _jump_complement(gamma: float, q: float, kappa: float, v):
+    """1 - J(w) from v = 1 - w, J the AuthorCitations(gamma, q) p.g.f.; kappa = 1 - q as given."""
+    if kappa != 0.0:  # dividing by 1 + 0j would drop the sign of a zero imaginary part: the side of the cut
+        v = v / (q + kappa * v)  # rebound, so that 1 - z^m is freed before the power
+    return _power(v, gamma)
+
+
 # ---------------------------------------------------------------------------
 # p.g.f. families
 # ---------------------------------------------------------------------------
@@ -161,8 +169,29 @@ class PgfFamily:
         return ()
 
 
+class CompoundPoisson(PgfFamily):
+    """exp{-lam (1 - J(z^m))}, J = AuthorCitations(gamma, q), from ``lam`` and ``jump()`` = (gamma, q, 1 - q, m)."""
+
+    def pgf_from_complement(self, u):
+        gamma, q, kappa, m = self.jump()
+        return np.exp(-self.lam * _jump_complement(gamma, q, kappa, _one_minus_zm(u, m)))
+
+    def matched_pairs(self) -> tuple:
+        gamma, _, kappa, m = self.jump()
+        try:
+            pair = (Example1Thin(kappa, m), gamma)
+        except ParameterError:  # kappa = 0 has no normalizer family for m > 1
+            return ()
+        # kappa = 0, m = 1 is SvhStable, whose Q_p is also the Bernoulli map
+        return ((Bernoulli(), gamma), pair) if (kappa, m) == (0.0, 1) else (pair,)
+
+    def as_example1(self) -> Example1:
+        gamma, _, kappa, m = self.jump()
+        return Example1(lam=self.lam, gamma=gamma, kappa=kappa, m=m)
+
+
 @dataclass(frozen=True)
-class SvhStable(PgfFamily):
+class SvhStable(CompoundPoisson):
     """Discrete stable law in the Steutel-van Harn sense.
 
     P(z) = exp{-lam (1-z)^alpha} with lam > 0 and alpha in (0, 1].
@@ -182,18 +211,12 @@ class SvhStable(PgfFamily):
             "p.g.f. cannot be greater than 1",
         )
 
-    def as_example1(self) -> Example1:
-        return Example1(lam=self.lam, gamma=self.alpha, kappa=0.0, m=1)
-
-    def matched_pairs(self) -> tuple:
-        return self.as_example1().matched_pairs()
-
-    def pgf_from_complement(self, u):
-        return np.exp(-self.lam * _power(u, self.alpha))
+    def jump(self) -> tuple[float, float, float, int]:
+        return self.alpha, 1.0, 0.0, 1
 
 
 @dataclass(frozen=True)
-class Example1(PgfFamily):
+class Example1(CompoundPoisson):
     """Discrete stable family for the Moebius thinning semigroup.
 
     P(z) = exp{-lam W(z)^gamma} with W(z) = (1-z^m)/(1-kappa z^m).
@@ -217,22 +240,8 @@ class Example1(PgfFamily):
         _require(0 <= self.kappa < 1, "kappa must lie in [0, 1)")
         _require(self.m >= 1, "m must be a positive integer")
 
-    def matched_pairs(self) -> tuple:
-        try:
-            pair = (Example1Thin(self.kappa, self.m), self.gamma)
-        except ParameterError:  # kappa = 0 has no normalizer family for m > 1
-            return ()
-        # kappa = 0, m = 1 is SvhStable, whose Q_p is also the Bernoulli map
-        return ((Bernoulli(), self.gamma), pair) if (self.kappa, self.m) == (0.0, 1) else (pair,)
-
-    def w_from_complement(self, u):
-        # W = v/((1-kappa) + kappa v) with v = 1 - z^m; denominator equals
-        # 1 - kappa z^m, rewritten so that v -> 0 stays fully significant
-        v = _one_minus_zm(u, self.m)
-        return v / ((1.0 - self.kappa) + self.kappa * v)
-
-    def pgf_from_complement(self, u):
-        return np.exp(-self.lam * _power(self.w_from_complement(u), self.gamma))
+    def jump(self) -> tuple[float, float, float, int]:
+        return self.gamma, 1.0 - self.kappa, self.kappa, self.m
 
 
 def _chebyshev_angle(b: float, u):
@@ -287,11 +296,6 @@ class Geometric(PgfFamily):
         return self.q * (1.0 - u) / (self.q + (1.0 - self.q) * u)
 
 
-def _geometric_complement(q: float, u):
-    """1 - G(z) = u / (q + (1-q) u) for the ``Geometric`` p.g.f. G."""
-    return u / (q + (1.0 - q) * u)
-
-
 @dataclass(frozen=True)
 class Sibuya(PgfFamily):
     """Citations of a single paper: P(z) = 1 - (1-z)^p on {1, 2, ...}.
@@ -329,11 +333,11 @@ class AuthorCitations(PgfFamily):
         _require(0 < self.q <= 1, "q must lie in (0, 1]")
 
     def pgf_from_complement(self, u):
-        return 1.0 - _power(_geometric_complement(self.q, u), self.p)
+        return 1.0 - _jump_complement(self.p, self.q, 1.0 - self.q, u)
 
 
 @dataclass(frozen=True)
-class FieldCitations(PgfFamily):
+class FieldCitations(CompoundPoisson):
     """Total citations of a field with Poisson(lam) many authors.
 
     P(z) = exp{-lam ((1-z)/(1-(1-q)z))^p}; identical to ``Example1``
@@ -350,18 +354,13 @@ class FieldCitations(PgfFamily):
         _require(0 < self.p <= 1, "p must lie in (0, 1]")
         _require(0 < self.q <= 1, "q must lie in (0, 1]")
 
-    def as_example1(self) -> Example1:
-        return Example1(lam=self.lam, gamma=self.p, kappa=1.0 - self.q, m=1)
-
-    def matched_pairs(self) -> tuple:
-        return self.as_example1().matched_pairs()
+    def jump(self) -> tuple[float, float, float, int]:
+        # q itself: 1 - (1 - q) can differ from q in the last bit
+        return self.p, self.q, 1.0 - self.q, 1
 
     def author_law(self) -> AuthorCitations:
         """Citations of one of the field's Poisson(lam) many authors."""
         return AuthorCitations(self.p, self.q)
-
-    def pgf_from_complement(self, u):
-        return np.exp(-self.lam * _power(_geometric_complement(self.q, u), self.p))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ citation law comes from one Beta mixture of geometrics: a Sibuya(p)
 many Geometric(q) sum (``AuthorCitations``) is one Geometric(qW) draw
 with W ~ Beta(p, 1-p).  ``author_citations_rvs`` draws it as one Beta
 and one exponential per value, ``sibuya_rvs`` is its q = 1 case and
-``ex1_rvs`` draws every compound-Poisson jump through it, so no sampler
-searches a table and the value cap lives in one place.
+``ex1_rvs`` (also ``svh_rvs``) draws every ``CompoundPoisson`` jump through
+it, so no sampler searches a table and the value cap lives in one place.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedError,
 )
 from .extraction import PmfTable
-from .families import AuthorCitations, Example1, Geometric, Sibuya, SvhStable, TemperedStable
+from .families import AuthorCitations, CompoundPoisson, Geometric, Sibuya, TemperedStable
 
 __all__ = [
     "Seed",
@@ -221,22 +221,20 @@ def sibuya_rvs(family: Sibuya, rng: np.random.Generator, size: int) -> np.ndarra
     return author_citations_rvs(AuthorCitations(family.p, 1.0), rng, size)
 
 
-def ex1_rvs(family: Example1, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Array sampler for exp{-lam ((1-z^m)/(1-kappa z^m))^gamma}.
+def ex1_rvs(family: CompoundPoisson, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Array sampler for a compound-Poisson law exp{-lam (1 - J(z^m))}.
 
-    Compound Poisson: Poisson(lam) many jumps, each m times an
-    ``AuthorCitations(gamma, 1-kappa)`` draw (a Sibuya(gamma) many
-    Geometric(1-kappa) sum), because 1 - ((1-w)/(1-kappa w))^gamma is
-    that law's p.g.f. at w = z^m.
+    Poisson(lam) many jumps, each m times an ``AuthorCitations(gamma, q)``
+    draw (a Sibuya(gamma) many Geometric(q) sum), with (gamma, q, m) from
+    ``family.jump()``.
     """
+    gamma, q, _, m = family.jump()
     counts = rng.poisson(family.lam, size)
-    jumps = author_citations_rvs(AuthorCitations(family.gamma, 1.0 - family.kappa), rng, int(counts.sum()))
-    return family.m * _segment_sums(jumps, counts)
+    jumps = author_citations_rvs(AuthorCitations(gamma, q), rng, int(counts.sum()))
+    return m * _segment_sums(jumps, counts)
 
 
-def svh_rvs(family: SvhStable, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Array sampler for exp{-lam (1-z)^alpha}: ``ex1_rvs`` at kappa = 0, m = 1."""
-    return ex1_rvs(family.as_example1(), rng, size)
+svh_rvs = ex1_rvs
 
 
 def inverse_gaussian_rvs(family: TemperedStable, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -762,6 +762,39 @@ def test_full_config_flag_applies_the_file(before, joined, tmp_path, capsys):
     assert out.splitlines()[1].startswith("2,0.46293735614364517,")
 
 
+# an abbreviated flag and the output the full spelling prints; the
+# abbreviation was once read as the full flag, as no config key is
+ABBREVIATIONS = {
+    "n-for-n-max": (
+        ["check-pgf", "--thinning", "bernoulli", "--p", "0.5"], ("--n", "--n-max"), "20",
+        "0.5,-4.5244233667057473e-18,9,0.13148309691975196,5.0000000006988898e-07",
+    ),
+    "lam-for-lambda": (
+        ["check-stability", "--family", "svh", "--n", "2"], ("--lam", "--lambda"), "2",
+        "2,0.25,1.1102230246251565e-16,0.68649931349999993",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ABBREVIATIONS)
+def test_abbreviated_subcommand_flag_exits_two(case, capsys):
+    command, (short, _), value, _ = ABBREVIATIONS[case]
+    assert guarded_run(command + [short, value], capsys) == (2, "")
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
+@pytest.mark.parametrize("case", ABBREVIATIONS)
+def test_full_subcommand_flag_is_read(case, joined, capsys):
+    # negative control for the abbreviation: the full spelling still parses,
+    # and its value reaches the output (the default prints another row)
+    command, (_, full), value, row = ABBREVIATIONS[case]
+    flag = [f"{full}={value}"] if joined else [full, value]
+    code, out, err = run(command + flag, capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == row
+    assert run(command, capsys)[1].splitlines()[1] != row
+
+
 def test_missing_config_exits_two(capsys):
     code, out, err = run(
         ["--config", "/nonexistent/path.cfg", "check-stability", "--family", "svh"],

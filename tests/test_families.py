@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casualstable import families
+from casualstable import extraction, families
 from casualstable import (
     AuthorCitations,
     Bernoulli,
@@ -23,6 +23,7 @@ from casualstable import (
     SvhStable,
     TemperedStable,
 )
+from casualstable.stability import default_z_grid
 
 Z = np.linspace(0.0, 1.0, 41)
 
@@ -328,3 +329,53 @@ def test_complement_form_matches_literal_example1(z, p):
     thin = Example1Thin(kappa, 1)
     literal = ((1.0 - p) + (p - kappa) * z) / ((1.0 - p * kappa) - kappa * (1.0 - p) * z)
     assert thin.thin(p, z) == pytest.approx(literal, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the compound-Poisson kernels, bit for bit against their literal arithmetic
+# ---------------------------------------------------------------------------
+
+PIN_POINTS = {
+    "z_grid": 1.0 - default_z_grid(),
+    "circle": 1.0 - extraction._circle(extraction.fft_points(200), extraction.DEFAULT_RADIUS),
+}
+# the negative u axis with a signed zero imaginary part: either side of the cut
+_CUT = -np.logspace(-8, -0.5, 12) + 0j
+CUT_POINTS = np.concatenate([_CUT, np.conj(_CUT)])
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("points", PIN_POINTS)
+def test_field_kernel_is_its_literal_form_bitwise(points):
+    lam, p, q = 1.0, 0.7, 0.3
+    u = PIN_POINTS[points]
+    literal = np.exp(-lam * families._power(u / (q + (1.0 - q) * u), p))
+    assert same_bits(FieldCitations(lam, p, q).pgf_from_complement(u), literal)
+
+
+@pytest.mark.parametrize("points", PIN_POINTS)
+def test_example1_kernel_is_its_literal_form_bitwise(points):
+    lam, gamma, kappa = 1.0, 0.6, 0.3
+    u = PIN_POINTS[points]
+    v = u * (1.0 + (1.0 - u))  # 1 - z^2
+    literal = np.exp(-lam * families._power(v / ((1.0 - kappa) + kappa * v), gamma))
+    assert same_bits(Example1(lam, gamma, kappa, 2).pgf_from_complement(u), literal)
+
+
+@pytest.mark.parametrize("points", [*PIN_POINTS, "cut"])
+@pytest.mark.parametrize("lam, a", [(1.5, 0.7), (0.2, 1.0), (3.0, 0.25)])
+def test_svh_kernel_is_example1_at_kappa_zero_bitwise(lam, a, points):
+    u = CUT_POINTS if points == "cut" else PIN_POINTS[points]
+    assert same_bits(SvhStable(lam, a).pgf_from_complement(u), Example1(lam, a, 0.0, 1).pgf_from_complement(u))
+
+
+@pytest.mark.parametrize("points", PIN_POINTS)
+def test_field_pin_sees_q_recomputed_through_example1(points):
+    # negative control: the Example1 view forms q as 1 - (1 - q), which
+    # moves some kernel values by an ulp, and the pin sees it
+    field, u = FieldCitations(1.0, 0.7, 0.3), PIN_POINTS[points]
+    assert not same_bits(field.as_example1().pgf_from_complement(u), field.pgf_from_complement(u))

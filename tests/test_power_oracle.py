@@ -139,6 +139,7 @@ def _ex1_thin_complement(kappa, m, p, U):
 
 
 svh, ex1, ex1_m2 = SvhStable(1.5, 0.7), Example1(1.0, 0.6, 0.3), Example1(1.0, 0.5, 0.6, 2)
+ex1_kappa0 = Example1(1.5, 0.7, 0.0, 1)  # the SvhStable law above
 ex2, sib, author = Example2(1.0, 1.3, 0.2), Sibuya(0.5), AuthorCitations(0.7, 0.3)
 field, thin_m2 = FieldCitations(1.0, 0.5, 0.5), Example1Thin(0.6, 2)
 
@@ -148,6 +149,9 @@ KERNELS = {
             lambda U: mpmath.exp(-M(svh.lam) * U ** M(svh.alpha)), _exp_condition),
     "ex1": (ex1.pgf_from_complement,
             lambda U: mpmath.exp(-M(ex1.lam) * _ex1_w(ex1.kappa, 1, U) ** M(ex1.gamma)), _exp_condition),
+    "ex1_kappa0": (ex1_kappa0.pgf_from_complement,
+                   lambda U: mpmath.exp(-M(ex1_kappa0.lam) * _ex1_w(0, 1, U) ** M(ex1_kappa0.gamma)),
+                   _exp_condition),
     "ex1_m2": (ex1_m2.pgf_from_complement,
                lambda U: mpmath.exp(-M(ex1_m2.lam) * _ex1_w(ex1_m2.kappa, 2, U) ** M(ex1_m2.gamma)),
                _exp_condition),
@@ -165,8 +169,10 @@ KERNELS = {
 # Off the disk, on the negative u axis (z > 1), only kernels whose power
 # argument keeps the sign of a zero imaginary part are checked: the others
 # divide by a complex number first, and numpy's complex division drops it.
+# Example1 at kappa = 0 divides by nothing (the jump complement is u
+# itself), so it is checked here and lands on SvhStable's side of the cut.
 CUT_U = SIGNED_ZERO_X[np.abs(SIGNED_ZERO_X) < 0.5]
-SIGNED_ZERO_KERNELS = ("svh", "sibuya", "ex1_thin_m2_root")
+SIGNED_ZERO_KERNELS = ("svh", "ex1_kappa0", "sibuya", "ex1_thin_m2_root")
 
 
 def _kernel_ulps(kernel_id, us) -> float:

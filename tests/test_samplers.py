@@ -308,6 +308,28 @@ def test_bulk_samplers_are_deterministic():
     assert np.array_equal(x, y)
 
 
+def _draws_or_refusal(sampler, family, seed, size):
+    try:
+        return sampler(family, make_rng(seed), size)
+    except IterationCapError as error:  # a refused draw must be refused by both
+        return str(error)
+
+
+@given(
+    lam=st.floats(0.01, 20.0),
+    a=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2 ** 64 - 1),
+    stream=st.integers(0, 2 ** 64 - 1),
+)
+@settings(max_examples=50, deadline=None)
+def test_svh_is_example1_at_kappa_zero(lam, a, seed, stream):
+    svh, ex1 = SvhStable(lam, a), Example1(lam, a, 0.0, 1)
+    first = _draws_or_refusal(svh_rvs, svh, Seed(seed, stream), 500)
+    second = _draws_or_refusal(ex1_rvs, ex1, Seed(seed, stream), 500)
+    assert type(first) is type(second) and np.array_equal(first, second)
+    assert svh.matched_pairs() == ex1.matched_pairs()
+
+
 def test_svh_sampler_matches_transform():
     rng = make_rng(Seed(12, 0))
     x = svh_rvs(SvhStable(1.0, 0.5), rng, 200_000)
