@@ -19,6 +19,7 @@ and for ``--tv-atoms`` or ``--tv-fields`` without ``--tv-check``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -199,9 +200,8 @@ def cmd_check_stability(args) -> int:
             rows.append({"n": n, "residual": report.sup_residual, "argmax_s": report.argmax_point})
     else:
         header = ["n", "p", "residual", "argmax_z"]
-        for n in ns:
-            p = args.p if args.p is not None else solve_pn(family, thinning, n)
-            report = discrete_stability_residual(family, thinning, n, p)
+        ps = [args.p if args.p is not None else solve_pn(family, thinning, n) for n in ns]
+        for n, p, report in zip(ns, ps, discrete_stability_residual(family, thinning, ns, ps)):
             worst = max(worst, report.sup_residual)
             rows.append({"n": n, "p": p, "residual": report.sup_residual, "argmax_z": report.argmax_point})
     emit(header, rows, out=args.out, as_json=args.json)
@@ -352,6 +352,7 @@ _CONFIG_PARSER = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exi
 _CONFIG_PARSER.add_argument("--config", default=None, help="flat key=value file of the subcommand's own flags (flags win)")
 
 
+@functools.cache  # nothing changes the parser once built, so every call shares one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casualstable",

@@ -135,6 +135,10 @@ def convergence_curve(h, family, n_list, s_grid=None, a: float = 2.0) -> list[tu
     check_kind(family, LaplaceFamily, "Laplace")
     _check_a(a)
     s = _check_grid(s_grid)
+    ns = []
+    for n in n_list:
+        check_n(n)  # before int(n), which would read 2.5 as 2
+        ns.append(int(n))
     target = family.laplace(s)
 
     gap = np.abs(np.asarray(h(s)) - target) / s ** a
@@ -151,7 +155,6 @@ def convergence_curve(h, family, n_list, s_grid=None, a: float = 2.0) -> list[tu
                 "not match the target's mean",
                 stacklevel=2,
             )
-    ns = [int(n) for n in n_list]
     if len(ns) >= 2:
         b_vals = condition_b(family, a, [min(ns), max(ns)], s)
         if b_vals[-1] >= b_vals[0] and min(ns) != max(ns):

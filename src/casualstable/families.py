@@ -87,7 +87,11 @@ def _require(condition: bool, message: str) -> None:
 
 def check_n(n: int) -> None:
     # inf % 1 and nan % 1 are nan, so both fail without int(n) raising
-    _require(n >= 1 and n % 1 == 0, "n must be an integer >= 1")
+    try:
+        count = n >= 1 and n % 1 == 0
+    except TypeError:  # not a number, such as the text '3'
+        count = False
+    _require(count, "n must be an integer >= 1")
 
 
 def check_kind(obj, kind: type, noun: str) -> None:

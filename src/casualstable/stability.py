@@ -5,7 +5,9 @@ parameter p = p(n).  Casual stability: L(s) = L(-log g_n(s))^n.  Both
 are checked as sup-norm residuals over dense grids; when the identity
 holds the residual sits at rounding level (1e-14 or below), and a 1%
 perturbation of p(n) lifts it above 1e-4, so the checks cannot pass
-vacuously.
+vacuously.  The discrete check also takes an n-sweep: equal-length
+sequences of n and p give one report per (n, p) pair, and the left
+side P(z), which does not depend on n, is evaluated once.
 
 Residuals are evaluated entirely in the complement domain u = 1 - z
 (see ``families``): the thinning complement 1 - Q_p(z) feeds the
@@ -68,22 +70,35 @@ def _sup_report(residuals: np.ndarray, grid: np.ndarray, spec: str) -> ResidualR
     )
 
 
-def discrete_stability_residual(family, thinning, n: int, p: float, z_grid=None) -> ResidualReport:
-    """sup_z |P(z) - P(Q_p(z))^n| over the grid, in complement form."""
+def discrete_stability_residual(family, thinning, n, p, z_grid=None):
+    """sup_z |P(z) - P(Q_p(z))^n| over the grid, in complement form.
+
+    Scalar n and p give one report.  Equal-length sequences n and p give
+    a list with one report per (n, p) pair; the grid and the left side
+    P(z), which does not depend on n, are evaluated once for the sweep.
+    """
     check_kind(family, PgfFamily, "p.g.f.")
     check_kind(thinning, ThinningFamily, "thinning")
-    check_n(n)
+    sweep = np.ndim(n) > 0
+    if sweep != (np.ndim(p) > 0) or (sweep and len(n) != len(p)):
+        raise ParameterError("n and p must be two scalars or two sequences of equal length")
+    pairs = list(zip(n, p)) if sweep else [(n, p)]
+    for n_k, p_k in pairs:  # every pair, before any evaluation
+        check_n(n_k)
+        thinning.check_p(p_k)
     z = _grid(z_grid, default_z_grid, "z")
     u = 1.0 - z
-    thinned_u = thinning.complement_map(p, u)
     lhs = family.pgf_from_complement(u)
-    rhs = family.pgf_from_complement(thinned_u) ** n
-    return _sup_report(
-        np.abs(lhs - rhs),
-        z,
-        f"z grid {z.size} points on [{z.min():g}, {z.max():g}], "
-        f"complement-form evaluation, n={n}, p={p!r}",
-    )
+    spec = f"z grid {z.size} points on [{z.min():g}, {z.max():g}], complement-form evaluation"
+    reports = [
+        _sup_report(
+            np.abs(lhs - family.pgf_from_complement(thinning.complement_map(p_k, u)) ** n_k),
+            z,
+            f"{spec}, n={n_k}, p={p_k!r}",
+        )
+        for n_k, p_k in pairs
+    ]
+    return reports if sweep else reports[0]
 
 
 def casual_stability_residual(family, n: int, s_grid=None) -> ResidualReport:

@@ -807,3 +807,42 @@ def test_missing_config_exits_two(capsys):
 def test_dangling_config_flag_exits_two(capsys):
     code, out, err = run(["check-stability", "--family", "svh", "--config"], capsys)
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+PLAIN_STABILITY = ["check-stability", "--family", "svh", "--n", "2..6"]
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_config_run_leaves_the_shared_parser_unchanged(tmp_path, capsys):
+    cli.build_parser.cache_clear()  # the first plain run builds the parser
+    first = run(PLAIN_STABILITY, capsys)
+    assert first[0] == 0 and first[1].startswith("n,p,residual,argmax_z\n")
+    cfg = tmp_path / "json.cfg"
+    cfg.write_text("json = true\n")
+    code, out, err = run(["--config", str(cfg), *PLAIN_STABILITY], capsys)
+    assert (code, err) == (0, "") and json.loads(out.splitlines()[0])["n"] == 2
+    assert run(PLAIN_STABILITY, capsys) == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-stability", "--family", "nope"],
+        [*PLAIN_STABILITY, "--json", "--bogus"],
+        ["--config", "{cfg}", "check-stability", "--family", "ex1", "--n", "2"],
+    ],
+    ids=["bad-choice", "unknown-flag", "bad-config-value"],
+)
+def test_usage_error_leaves_the_next_run_unchanged(argv, tmp_path, capsys):
+    cfg = tmp_path / "ex1.cfg"
+    cfg.write_text("json = true\nkappa = 0.6\nm = 2.5\n")
+    first = run(PLAIN_STABILITY, capsys)
+    assert guarded_run([arg.format(cfg=cfg) for arg in argv], capsys) == (2, "")
+    assert run(PLAIN_STABILITY, capsys) == first

@@ -320,6 +320,23 @@ def test_curve_is_quiet_when_conditions_hold():
         convergence_curve(matched_exponential(family), family, [2, 4])
 
 
+@pytest.mark.parametrize("ns", [[2.5, 4], ["3", 4]], ids=["fraction", "text"])
+def test_curve_refuses_a_non_count_n(ns):
+    # int(n) once read 2.5 as 2 and '3' as 3, labelling rows with an n never asked for
+    family = Gamma(1.0, 2.0)
+    with pytest.raises(ParameterError, match="integer >= 1"):
+        convergence_curve(matched_exponential(family), family, ns)
+
+
+@pytest.mark.parametrize("ns", [[2, 4], [2.0, 4]], ids=["int", "integral-float"])
+def test_curve_reads_an_integral_n_as_before(ns):
+    # negative control for the refusal above: both label their rows with int n
+    family = Gamma(1.0, 2.0)
+    curve = convergence_curve(matched_exponential(family), family, ns)
+    assert curve == [(2, 0.05412794851641706), (4, 0.030074137734029532)]
+    assert all(type(n) is int for n, _ in curve)
+
+
 # ---------------------------------------------------------------------------
 # grid robustness
 # ---------------------------------------------------------------------------

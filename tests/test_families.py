@@ -130,7 +130,7 @@ def test_kind_guard_sees_a_class_outside_its_kind():
     assert kind_strays([Stray]) == [("Stray", "pgf_from_complement")]
 
 
-@pytest.mark.parametrize("n", [0, -3, 2.5, float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("n", [0, -3, 2.5, float("inf"), float("-inf"), float("nan"), "3"])
 def test_check_n_refuses_every_non_count(n):
     with pytest.raises(ParameterError, match="integer >= 1"):
         families.check_n(n)

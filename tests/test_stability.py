@@ -2,6 +2,8 @@
 checks are falsifiable (a 1% parameter perturbation lifts the residual
 by ten orders of magnitude)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,71 @@ def test_perturbed_pn_lifts_residual():
     assert discrete_stability_residual(family, Bernoulli(), 10, p).sup_residual < 1e-12
     perturbed = discrete_stability_residual(family, Bernoulli(), 10, 1.01 * p)
     assert perturbed.sup_residual > 1e-4
+
+
+# ---------------------------------------------------------------------------
+# n-sweeps: one call, one report per (n, p) pair
+# ---------------------------------------------------------------------------
+
+# each family with its first matched thinning
+SWEEP_FAMILIES = {
+    "svh-bernoulli": SvhStable(1.3, 0.6),
+    "ex1-m2": Example1(0.8, 0.5, 0.7, 2),
+    "ex2": Example2(2.0, 0.8, 0.3),
+    "field-citations": FieldCitations(5.0, 0.5, 0.3),
+}
+
+
+def sweep_inputs(family, ns=range(2, 31)):
+    thinning = family.matched_pairs()[0][0]
+    ns = list(ns)
+    return thinning, ns, [solve_pn(family, thinning, n) for n in ns]
+
+
+def report_bits(report):
+    return report.sup_residual.hex(), report.argmax_point.hex(), report.grid_spec
+
+
+@pytest.mark.parametrize("grid", [None, np.linspace(0.05, 0.999, 517)], ids=["default", "custom"])
+@pytest.mark.parametrize("name", SWEEP_FAMILIES)
+def test_sweep_equals_the_scalar_loop_bitwise(name, grid):
+    family = SWEEP_FAMILIES[name]
+    thinning, ns, ps = sweep_inputs(family)
+    sweep = discrete_stability_residual(family, thinning, ns, ps, grid)
+    loop = [discrete_stability_residual(family, thinning, n, p, grid) for n, p in zip(ns, ps)]
+    assert [report_bits(r) for r in sweep] == [report_bits(r) for r in loop]
+
+
+def test_sweep_perturbation_lifts_only_its_own_report():
+    # negative control: a 1% error in one p(n) shows in that report alone
+    family = SvhStable(1.0, 0.5)
+    thinning, ns, ps = sweep_inputs(family, range(2, 21))
+    ps[7] *= 1.01
+    sups = [r.sup_residual for r in discrete_stability_residual(family, thinning, ns, ps)]
+    assert sups[7] > 1e-4
+    assert max(sups[:7] + sups[8:]) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "ns, ps",
+    [([2, 3], [0.25]), ([2], [0.25, 0.1]), ([2, 3], 0.25), (2, [0.25])],
+    ids=["short-p", "short-n", "scalar-p", "scalar-n"],
+)
+def test_sweep_needs_equal_length_sequences(ns, ps):
+    with pytest.raises(ParameterError, match="equal length"):
+        discrete_stability_residual(SvhStable(1.0, 0.5), Bernoulli(), ns, ps)
+
+
+@pytest.mark.parametrize("position", [0, 5, 9])
+@pytest.mark.parametrize("bad", [0, 2.5])
+def test_sweep_checks_every_n_before_evaluating(bad, position):
+    family = SvhStable(1.0, 0.5)
+    thinning, ns, ps = sweep_inputs(family, range(2, 12))
+    ns[position] = bad
+    with mock.patch.object(SvhStable, "pgf_from_complement", side_effect=AssertionError("evaluated")) as kernel:
+        with pytest.raises(ParameterError, match="integer >= 1"):
+            discrete_stability_residual(family, thinning, ns, ps)
+    assert kernel.call_count == 0
 
 
 # ---------------------------------------------------------------------------
