@@ -286,7 +286,7 @@ def cmd_citations(args) -> int:
         # each of the atoms + 1 masses is certified to within tol_neg
         table = extract_pmf(family, atoms, tol=2.0 * TV_CERTIFICATE_TOL / (atoms + 1))
         totals = field_totals(FieldSim(family, Seed(args.seed, args.stream + args.replicates)), fields)
-        counts = np.bincount(totals[totals <= atoms], minlength=atoms + 1)
+        counts = np.bincount(totals[totals <= atoms].astype(np.int64), minlength=atoms + 1)
         empirical = counts / len(totals)
         tv = 0.5 * float(np.abs(empirical - table.masses).sum())
         rows.append({"record": "tv_check", "tv_distance": tv})
@@ -380,8 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     ci = sub.add_parser(
         "citations",
         help="simulate fields of the citation model", allow_abbrev=False,
-        epilog="An author's citation count beyond 2^61 is refused: the run exits 1 with a value-cap message. "
-        "The chance is about (q 2^61)^(-p)/Gamma(1-p) per draw, one draw in 1.9e9 at p = q = 0.5.",
+        epilog="An author's citation count beyond 2^61 is carried as a float64 (53 significant bits). Only one beyond "
+        "the float64 maximum 1.8e308 is refused: the run exits 1 with a value-cap message. The chance is about "
+        "(q 1.8e308)^(-p)/Gamma(1-p) per draw, 4e-16 at p = 0.05, q = 0.5.",
     )
     ci.add_argument("--lambda", dest="lam", type=float, default=100.0)
     ci.add_argument("--p", type=float, default=0.5)

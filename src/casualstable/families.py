@@ -373,7 +373,11 @@ class FieldCitations(CompoundPoisson):
 
 
 class ThinningFamily:
-    """Base of the thinning families: the domain check of p."""
+    """Base of the thinning families: the domain check of p.
+
+    Each family's ``coordinate(u)`` turns its map into multiplication,
+    c(1 - Q_p(z)) = p c(1 - z): the A-function of van Harn, Steutel and Vervaat (1982).
+    """
 
     def p_domain(self) -> tuple[float, bool, str]:
         """Admissible p: (top, whether top itself is admissible, the interval as text)."""
@@ -391,6 +395,9 @@ class Bernoulli(ThinningFamily):
     def complement_map(self, p: float, u):
         self.check_p(p)
         return p * u
+
+    def coordinate(self, u):
+        return u
 
     def thin(self, p: float, z):
         return 1.0 - self.complement_map(p, _complement(z))
@@ -442,6 +449,9 @@ class Example1Thin(ThinningFamily):
         root = _power(1.0 - cm, 1.0 / self.m)
         return cm / _geometric_sum(root, self.m)
 
+    def coordinate(self, u):  # W(z) = v / ((1-kappa) + kappa v), v = 1 - z^m
+        return _jump_complement(1.0, 1.0 - self.kappa, self.kappa, _one_minus_zm(u, self.m))
+
     def thin(self, p: float, z):
         return 1.0 - self.complement_map(p, _complement(z))
 
@@ -470,6 +480,10 @@ class Example2Thin(ThinningFamily):
         return (1.0 - self.b) * one_minus_t / (
             (1.0 + self.b) * (2.0 - one_minus_t)
         )
+
+    def coordinate(self, u):
+        """theta = arccos A(z)."""
+        return _chebyshev_angle(self.b, u)
 
     def thin(self, p: float, z):
         return 1.0 - self.complement_map(p, _complement(z))

@@ -51,8 +51,9 @@ __all__ = [
 ]
 
 SIBUYA_ITERATION_CAP = 10 ** 9
-# array sampler cap: largest value the int64 pipeline handles safely
-VALUE_CAP = 2 ** 61
+# array draws: int64 up to INT_CAP (no sum overflows), float64 up to FLOAT_CAP
+INT_CAP = 2 ** 61
+FLOAT_CAP = float(np.finfo(np.float64).max)
 _SIBUYA_BLOCK = 1 << 16
 _MAX_TABLE_DEFICIT = 1e-6
 
@@ -154,19 +155,22 @@ def geometric_rvs(family: Geometric, rng: np.random.Generator, size: int) -> np.
 
 
 def _cap_tail(p: float, q: float) -> float:
-    """P(X > 2^61) per draw for X ~ AuthorCitations(p, q); q = 1 is Sibuya(p).
+    """P(X > N) per draw for X ~ AuthorCitations(p, q), N the float64 maximum; q = 1 is Sibuya(p).
 
-    E[(1 - qW)^N] with N = 2^61 and W ~ Beta(p, 1-p); W has density
+    E[(1 - qW)^N] with W ~ Beta(p, 1-p); W has density
     ~ w^(p-1)/(Gamma(p) Gamma(1-p)) near 0, so the tail is asymptotically
     (q N)^(-p)/Gamma(1-p).  At p = 1, W = 1 and the tail is (1-q)^N.
     """
     if p == 1.0:
-        return math.exp(VALUE_CAP * math.log1p(-q)) if q < 1.0 else 0.0
-    return min(1.0, math.exp(-p * math.log(q * VALUE_CAP) - math.lgamma(1.0 - p)))
+        return math.exp(FLOAT_CAP * math.log1p(-q)) if q < 1.0 else 0.0
+    return min(1.0, math.exp(-p * math.log(q * FLOAT_CAP) - math.lgamma(1.0 - p)))
 
 
 def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum consecutive runs of ``values`` with run lengths ``counts``."""
+    if values.dtype.kind == "f":  # each run on its own: a huge value must not round later runs
+        runs = np.repeat(np.arange(len(counts)), counts)
+        return np.bincount(runs, weights=values, minlength=len(counts))
     boundaries = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=boundaries[1:])
     prefix = np.concatenate([[0], np.cumsum(values)])
@@ -181,9 +185,10 @@ def author_citations_rvs(family: AuthorCitations, rng: np.random.Generator, size
     A Geometric(W) sum of Geometric(q) draws is Geometric(qW), so each
     value is X = 1 + floor(E / -log(1 - qW)) with E standard exponential:
     one Beta and one exponential per draw, all W first, then all E.  At
-    p = 1, W = 1 and no Beta is drawn.  Draws beyond 2^61 (probability
-    ~ (q 2^61)^(-p)/Gamma(1-p) per draw, 5.25e-10 at p = q = 1/2) raise
-    ``IterationCapError`` rather than silently overflowing int64.
+    p = 1, W = 1 and no Beta is drawn.  The values are int64, or float64
+    when a draw exceeds 2^61 (~ (q 2^61)^(-p)/Gamma(1-p) per draw,
+    5.25e-10 at p = q = 1/2); a draw beyond the float64 maximum F
+    (~ (q F)^(-p)/Gamma(1-p), 4e-16 at p = 0.05) raises ``IterationCapError``.
     """
     p, q = family.p, family.q
     if size < 0:
@@ -199,24 +204,26 @@ def author_citations_rvs(family: AuthorCitations, rng: np.random.Generator, size
         np.divide(e, w, out=e)
         np.negative(e, out=e)
         np.floor(e, out=e)
-    # written so that a NaN (E = 0 over rate 0) is refused too
-    if size and not e.max() < VALUE_CAP:
+    top = e.max() if size else 0.0
+    if top < INT_CAP:
+        draws = e.astype(np.int64)
+        draws += 1
+        return draws
+    if not np.isfinite(top):  # a NaN (E = 0 over rate 0) too
         raise IterationCapError(
-            f"draw exceeded the array sampler value cap 2^61 "
-            f"(tail probability ~ (q 2^61)^(-p)/Gamma(1-p) = {_cap_tail(p, q):.2e} per draw)"
+            f"draw exceeded the array sampler value cap, the float64 maximum {FLOAT_CAP:.1e} "
+            f"(tail probability ~ (q {FLOAT_CAP:.1e})^(-p)/Gamma(1-p) = {_cap_tail(p, q):.2e} per draw)"
         )
-    draws = e.astype(np.int64)
-    draws += 1
-    return draws
+    e += 1.0
+    return e
 
 
 def sibuya_rvs(family: Sibuya, rng: np.random.Generator, size: int) -> np.ndarray:
     """Array of Sibuya(p) draws: ``author_citations_rvs`` at q = 1.
 
     Sibuya(p) is AuthorCitations(p, 1), so each value is Geometric(W)
-    with W ~ Beta(p, 1-p), exact over the whole int64 range.  Draws
-    beyond 2^61 (probability ~ 2^(-61 p)/Gamma(1-p) per draw, 3.7e-10 at
-    p = 1/2) raise ``IterationCapError`` rather than silently overflowing.
+    with W ~ Beta(p, 1-p); float64 values past 2^61 (3.7e-10 per draw at
+    p = 1/2) and the value cap work as there.
     """
     return author_citations_rvs(AuthorCitations(family.p, 1.0), rng, size)
 
@@ -226,7 +233,7 @@ def ex1_rvs(family: CompoundPoisson, rng: np.random.Generator, size: int) -> np.
 
     Poisson(lam) many jumps, each m times an ``AuthorCitations(gamma, q)``
     draw (a Sibuya(gamma) many Geometric(q) sum), with (gamma, q, m) from
-    ``family.jump()``.
+    ``family.jump()``; float64 totals when a jump exceeds 2^61.
     """
     gamma, q, _, m = family.jump()
     counts = rng.poisson(family.lam, size)

@@ -7,7 +7,8 @@ holds the residual sits at rounding level (1e-14 or below), and a 1%
 perturbation of p(n) lifts it above 1e-4, so the checks cannot pass
 vacuously.  The discrete check also takes an n-sweep: equal-length
 sequences of n and p give one report per (n, p) pair, and the left
-side P(z), which does not depend on n, is evaluated once.
+side P(z), which does not depend on n, is evaluated once.  Thinnings
+compose through their linearizing coordinate, with no search.
 
 Residuals are evaluated entirely in the complement domain u = 1 - z
 (see ``families``): the thinning complement 1 - Q_p(z) feeds the
@@ -37,8 +38,6 @@ Z_GRID_POINTS = 2001
 Z_GRID_TOP = 1.0 - 1e-6
 S_GRID_POINTS = 200
 S_GRID_DECADES = (-3.0, 3.0)
-GOLDEN_TOL = 1e-10
-GOLDEN_MAX_ITER = 200
 
 
 def default_z_grid() -> np.ndarray:
@@ -94,7 +93,7 @@ def discrete_stability_residual(family, thinning, n, p, z_grid=None):
         _sup_report(
             np.abs(lhs - family.pgf_from_complement(thinning.complement_map(p_k, u)) ** n_k),
             z,
-            f"{spec}, n={n_k}, p={p_k!r}",
+            f"{spec}, n={n_k}, p={float(p_k)!r}",
         )
         for n_k, p_k in pairs
     ]
@@ -127,52 +126,29 @@ def commutativity_residual(thinning, p1: float, p2: float, z_grid=None) -> Resid
         np.abs(forward - backward),
         z,
         f"z grid {z.size} points, complement-form composition, "
-        f"p1={p1!r}, p2={p2!r}",
+        f"p1={float(p1)!r}, p2={float(p2)!r}",
     )
-
-
-def _golden_section(objective, thinning) -> float:
-    """Golden-section minimizer over the thinning's admissible p interval
-    (padded off its ends); ties resolved toward the smaller argument."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    top = thinning.p_domain()[0]
-    pad = 1e-9 * top
-    a, b = pad, top - pad
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(GOLDEN_MAX_ITER):
-        if b - a <= GOLDEN_TOL:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = objective(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = objective(x2)
-    best = a if objective(a) <= objective(0.5 * (a + b)) else 0.5 * (a + b)
-    return float(best)
 
 
 def compose_thinning(thinning, p1: float, p2: float, z_grid=None) -> tuple[float, float]:
     """Empirical composition law: fit Q_p1 o Q_p2 by a single Q_p_eff.
 
-    Returns (p_eff, fit_residual); non-closure shows up as a residual
-    above tolerance rather than an error.  For all three families the
-    semigroup gives p_eff = p1 p2, which the fit recovers numerically.
+    The thinning's coordinate c has c(1 - Q_p(z)) = p c(u), so p_eff is
+    the median of c(target)/c(u) where c(u) is finite and nonzero (not at
+    z = 1).  Returns (p_eff, sup_z |1 - Q_p_eff(z) - target|); non-closure
+    shows up as a residual above tolerance rather than an error.
     """
     check_kind(thinning, ThinningFamily, "thinning")
     z = _grid(z_grid, default_z_grid, "z")
     u = 1.0 - z
     target = thinning.complement_map(p1, thinning.complement_map(p2, u))
-
-    def objective(p: float) -> float:
-        return float(np.abs(thinning.complement_map(p, u) - target).max())
-
-    p_eff = _golden_section(objective, thinning)
-    return p_eff, objective(p_eff)
+    base = thinning.coordinate(u)
+    usable = np.isfinite(base) & (base != 0.0)
+    if not usable.any():
+        raise ParameterError("z grid needs a point where the thinning coordinate is finite and nonzero (z != 1)")
+    ratios = np.sort(thinning.coordinate(target[usable]) / base[usable])
+    p_eff = float(ratios[ratios.size // 2])  # the upper median
+    return p_eff, float(np.abs(thinning.complement_map(p_eff, u) - target).max())
 
 
 def solve_pn(family, thinning, n: int) -> float:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casualstable import cli
+from casualstable import FieldCitations, FieldSim, Seed, cli, simulate_field
 from casualstable.cli import fmt, main, parse_float_list, parse_int_range
 from casualstable.errors import ParameterError
 
@@ -447,19 +447,35 @@ def test_citations_help_states_the_value_cap(capsys):
     with pytest.raises(SystemExit) as stop:
         main(["citations", "--help"])
     assert stop.value.code == 0
-    assert "beyond 2^61 is refused" in capsys.readouterr().out
+    text = " ".join(capsys.readouterr().out.split())
+    assert "beyond 2^61 is carried as a float64" in text
+    assert "beyond the float64 maximum 1.8e308 is refused" in text
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 9])
 def test_citations_small_q_refuses_or_succeeds(seed, capsys):
     # at p = 0.2, q = 1e-6 about 0.29% of authors exceed 2^61, so most
-    # runs of ~1000 authors are refused (seed 9 is not); none may end in
-    # an uncaught error
+    # runs of ~1000 authors carry float64 draws (seed 9 does not); every
+    # run succeeds, and its total is at least its largest author's count
     code, out, err = run(
         ["citations", "--lambda", "1000", "--p", "0.2", "--q", "1e-6", "--replicates", "1", "--seed", str(seed)],
         capsys,
     )
-    assert (code, err) == (0, "") or (code == 1 and "value cap" in err)
+    assert (code, err) == (0, "")
+    row = out.splitlines()[1].split(",")
+    largest = simulate_field(FieldSim(FieldCitations(1000.0, 0.2, 1e-6), Seed(seed, 0))).per_author_citations.max()
+    assert row[0] == "field" and int(row[3]) >= largest
+
+
+def test_citations_tv_check_carries_draws_past_2_61(capsys):
+    # a TV call whose field totals hold a draw above 2^61; it was refused
+    # while such draws were
+    argv = ["citations", "--lambda", "1.0", "--p", "0.5", "--q", "0.5", "--seed", "5", "--stream", "31000",
+            "--replicates", "25", "--tv-check", "--tv-fields", "250000", "--tv-atoms", "200"]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    records = [line.split(",")[0] for line in out.splitlines()[1:]]
+    assert records == ["field"] * 25 + ["tv_check"]
 
 
 def test_citations_json_rows_parse(capsys):

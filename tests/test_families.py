@@ -332,6 +332,38 @@ def test_complement_form_matches_literal_example1(z, p):
 
 
 # ---------------------------------------------------------------------------
+# each thinning's coordinate turns its map into multiplication
+# ---------------------------------------------------------------------------
+
+COORDINATE_CASES = [
+    (Bernoulli(), 0.35),
+    (Example1Thin(0.4, 1), 0.35),
+    (Example1Thin(0.6, 2), 0.35),
+    (Example1Thin(0.9, 3), 0.7),
+    (Example2Thin(-0.3), 0.35),
+    (Example2Thin(0.9), 0.7),
+]
+# measured: at most 2.5 eps at p in {0.05, 0.35, 0.5, 1}, b up to 0.9, m up to 3
+COORDINATE_TOL = 8.0 * np.finfo(float).eps
+
+
+def linearity_defect(coordinate, thinning, p, claimed_p):
+    """max |c(1 - Q_p(z)) / c(1 - z) - claimed_p| over the default z grid."""
+    u = 1.0 - default_z_grid()
+    return float(np.abs(coordinate(thinning.complement_map(p, u)) / coordinate(u) - claimed_p).max())
+
+
+@pytest.mark.parametrize("thinning, p", COORDINATE_CASES)
+def test_thinning_coordinate_linearizes_its_map(thinning, p):
+    assert linearity_defect(thinning.coordinate, thinning, p, p) <= COORDINATE_TOL
+    # negative controls: a perturbed p, and the coordinate of another family
+    assert linearity_defect(thinning.coordinate, thinning, p * (1.0 + 1e-9), p) > 1e3 * COORDINATE_TOL
+    for other in (Bernoulli(), Example1Thin(0.4, 1), Example2Thin(-0.3)):
+        if type(other) is not type(thinning):
+            assert linearity_defect(other.coordinate, thinning, p, p) > 1e-3
+
+
+# ---------------------------------------------------------------------------
 # the compound-Poisson kernels, bit for bit against their literal arithmetic
 # ---------------------------------------------------------------------------
 

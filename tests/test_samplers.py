@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from casualstable import (
     AuthorCitations,
     Example1,
+    FieldCitations,
     Geometric,
     IterationCapError,
     ParameterError,
@@ -35,9 +36,10 @@ from casualstable import (
     svh_rvs,
     thin_general,
 )
-from casualstable.samplers import author_citations_rvs
+from casualstable.samplers import _cap_tail, author_citations_rvs
 
 KS_CRIT = 1.9495  # scaled two-sample KS at the 1e-3 level
+FLOAT_MAX = np.finfo(np.float64).max  # the array samplers' value cap
 
 
 def scaled_ks(a, b):
@@ -124,19 +126,23 @@ def test_sibuya_iteration_cap():
 
 
 def test_sibuya_value_cap():
-    # p = 0.05 puts ~12% of the mass beyond 2^61, so the sampler must
-    # refuse rather than return a truncated draw
+    # p = 0.05 puts ~12% of the mass beyond 2^61, so the call returns its
+    # draws as float64, each still 1 + floor(E / rate), rather than refusing
+    x = sibuya_rvs(Sibuya(0.05), make_rng(Seed(5, 0)), 200)
+    assert x.dtype == np.float64 and (x > 2.0 ** 61).any()
     rng = make_rng(Seed(5, 0))
-    with pytest.raises(IterationCapError, match="2\\^61"):
-        sibuya_rvs(Sibuya(0.05), rng, 200)
+    w = rng.beta(0.05, 0.95, 200)
+    assert np.array_equal(x, 1.0 + np.floor(rng.standard_exponential(200) / -np.log1p(-w)))
 
 
 def test_sibuya_value_cap_message_states_the_tail_probability():
-    # S(k) ~ k^(-p)/Gamma(1-p), so the refused event has probability
-    # 2^(-61 p)/Gamma(1-p): 0.117 at p = 0.05, not 2^(-61 p) = 0.121
-    expected = float(mpmath.power(2, -61 * mpmath.mpf(0.05)) / mpmath.gamma(1 - mpmath.mpf(0.05)))
+    # S(k) ~ k^(-p)/Gamma(1-p), so a draw past the float64 maximum F has
+    # probability F^(-p)/Gamma(1-p): 8.2e-4 at p = 0.01, not F^(-p) = 8.3e-4;
+    # a Beta draw that underflows to W = 0 gives such an infinite value
+    p = mpmath.mpf(0.01)
+    expected = float(mpmath.power(FLOAT_MAX, -p) / mpmath.gamma(1 - p))
     with pytest.raises(IterationCapError, match=f"= {expected:.2e} per draw"):
-        sibuya_rvs(Sibuya(0.05), make_rng(Seed(5, 0)), 200)
+        sibuya_rvs(Sibuya(0.01), make_rng(Seed(5, 1)), 10 ** 4)
 
 
 # -- AuthorCitations from its Beta mixture ---------------------------------
@@ -147,8 +153,8 @@ ORACLE_DEPTH = 60
 ORACLE_BLOCK = 1000
 
 
-def exact_cap_tail(p, q):
-    """P(X > 2^61) for X ~ AuthorCitations(p, q), by mpmath quadrature.
+def exact_cap_tail(p, q, cap=2 ** 61):
+    """P(X > N) for X ~ AuthorCitations(p, q), N = cap, by mpmath quadrature.
 
     X is Geometric(qW) with W ~ Beta(p, 1-p), so P(X > N) = E[(1-qW)^N].
     Substituting W = t/(qN) and t = s^(1/p) absorbs W's w^(p-1)
@@ -156,9 +162,9 @@ def exact_cap_tail(p, q):
     needs qN > 200 when p < 1.
     """
     with mpmath.workdps(30):
-        p, q, n = mpmath.mpf(p), mpmath.mpf(q), mpmath.mpf(2) ** 61
+        p, q, n = mpmath.mpf(p), mpmath.mpf(q), mpmath.mpf(cap)
         if p == 1:
-            return (1 - q) ** n
+            return mpmath.exp(n * mpmath.log1p(-q))
         scale = q * n
 
         def integrand(s):
@@ -170,17 +176,20 @@ def exact_cap_tail(p, q):
 
 
 def uncapped_draws(draw, n):
-    """n draws taken in blocks; a block refused at the value cap is dropped.
+    """n draws taken in blocks, each draw above 2^61 dropped.
 
-    Blocks are independent, so the kept draws are i.i.d. from the law
-    conditioned on X <= 2^61.
+    A block holding such a draw comes back as float64; the draws kept
+    from it are whole numbers up to 2^61, exact as int64.  The draws are
+    i.i.d., so the kept ones are i.i.d. from the law conditioned on
+    X <= 2^61.
     """
-    kept = []
-    while len(kept) * ORACLE_BLOCK < n:
-        try:
-            kept.append(draw(ORACLE_BLOCK))
-        except IterationCapError:
-            pass
+    kept, count = [], 0
+    while count < n:
+        block = draw(ORACLE_BLOCK)
+        if block.dtype != np.int64:
+            block = block[block <= 2 ** 61].astype(np.int64)
+        kept.append(block)
+        count += block.size
     return np.concatenate(kept)[:n]
 
 
@@ -247,23 +256,45 @@ def test_author_citations_edges_are_exact_and_quiet():
 
 
 def test_author_citations_value_cap_message_states_the_tail_probability():
-    # P(X > 2^61) ~ (q 2^61)^(-p)/Gamma(1-p): 0.121 at p = 0.05, q = 1/2,
-    # and the documented 5.25e-10 per draw, one in 1.9e9, at p = q = 1/2
-    rate = float(exact_cap_tail(0.5, 0.5))
-    assert f"{rate:.2e}" == "5.25e-10" and f"{1.0 / rate:.1e}" == "1.9e+09"
-    expected = float(exact_cap_tail(0.05, 0.5))
+    # P(X > F) ~ (q F)^(-p)/Gamma(1-p) for F the float64 maximum: the
+    # documented 4e-16 per draw at p = 0.05, q = 1/2, where ~12% of the
+    # draws exceed 2^61 and come back as float64
+    rate = float(exact_cap_tail(0.05, 0.5, FLOAT_MAX))
+    assert f"{rate:.0e}" == "4e-16" and rate == pytest.approx(_cap_tail(0.05, 0.5), rel=1e-3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(IterationCapError, match=f"value cap 2\\^61 .* = {expected:.2e} per draw"):
-            author_citations_rvs(AuthorCitations(0.05, 0.5), make_rng(Seed(5, 0)), 200)
+        x = author_citations_rvs(AuthorCitations(0.05, 0.5), make_rng(Seed(5, 0)), 200)
+        assert x.dtype == np.float64 and np.isfinite(x).all() and (x > 2.0 ** 61).any()
         # at p = 0.01 some Beta draws underflow to W = 0, an infinite value
         assert (make_rng(Seed(5, 1)).beta(0.01, 0.99, 10 ** 4) == 0.0).any()
-        with pytest.raises(IterationCapError, match="value cap 2\\^61"):
+        expected = float(exact_cap_tail(0.01, 0.5, FLOAT_MAX))
+        with pytest.raises(IterationCapError, match=f"value cap, the float64 maximum 1.8e\\+308 .* = {expected:.2e} per draw"):
             author_citations_rvs(AuthorCitations(0.01, 0.5), make_rng(Seed(5, 1)), 10 ** 4)
-        # at p = 1 the law is Geometric(q), whose tail (1-q)^(2^61) has no Gamma(1-p)
-        expected = float(exact_cap_tail(1.0, 1e-19))
+        # at p = 1 the law is Geometric(q), whose tail (1-q)^F has no
+        # Gamma(1-p); a subnormal q makes most draws overflow
+        expected = float(exact_cap_tail(1.0, 1e-310, FLOAT_MAX))
         with pytest.raises(IterationCapError, match=f"= {expected:.2e} per draw"):
-            author_citations_rvs(AuthorCitations(1.0, 1e-19), make_rng(Seed(5, 2)), 100)
+            author_citations_rvs(AuthorCitations(1.0, 1e-310), make_rng(Seed(5, 2)), 100)
+
+
+def test_ex1_float_path_keeps_the_exact_total_of_every_small_field():
+    # at p = 0.05 about 12% of the jumps exceed 2^61, so the call sums
+    # float64 jumps; each field is summed on its own, so a field whose
+    # jumps all lie below 2^53 keeps the exact total of the int64 path
+    family, seed, size = FieldCitations(2.0, 0.05, 0.5), Seed(7, 0), 2000
+    totals = ex1_rvs(family, make_rng(seed), size)
+    rng = make_rng(seed)  # replay the stream: Poisson counts, then the jumps
+    counts = rng.poisson(family.lam, size)
+    fields = np.split(author_citations_rvs(family.author_law(), rng, int(counts.sum())), np.cumsum(counts)[:-1])
+    assert totals.dtype == np.float64
+    small = 0
+    for total, jumps in zip(totals, fields):
+        if (jumps < 2.0 ** 53).all():
+            small += 1
+            assert total == sum(int(x) for x in jumps)
+        else:
+            assert np.isfinite(total) and total >= jumps.max()
+    assert 0 < small < size
 
 
 SIBUYA_TAIL_KS = (8192, 10 ** 5, 10 ** 7)
