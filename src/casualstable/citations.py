@@ -22,14 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
-from .families import AuthorCitations, FieldCitations, Sibuya
-from .samplers import Seed, author_citations_rvs, ex1_rvs, make_rng, sample_sibuya
+from .families import AuthorCitations, FieldCitations
+from .samplers import Seed, author_citations_rvs, ex1_rvs, make_rng
 
 __all__ = [
     "FieldSim",
     "SimSummary",
     "RankingReport",
-    "simulate_author",
     "author_rvs",
     "simulate_field",
     "field_totals",
@@ -102,21 +101,10 @@ class RankingReport:
     mean_median_ratios: np.ndarray
 
 
-def simulate_author(family: AuthorCitations, rng: np.random.Generator) -> int:
-    """Citations of one author: Sibuya(p) papers, Geometric(q) each.
-
-    The sum of S ~ Sibuya(p) independent Geometric(q) draws has exactly
-    the composed p.g.f. 1 - (1 - qz/(1-(1-q)z))^p.
-    """
-    papers = sample_sibuya(Sibuya(family.p), rng)
-    # k + NegativeBinomial(k, q) is a sum of k Geometric(q) draws
-    return int(papers + rng.negative_binomial(papers, family.q))
-
-
 def author_rvs(family: AuthorCitations, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Array of per-author citation counts, the bulk form of ``simulate_author``.
+    """Array of per-author citation counts: Sibuya(p) papers, Geometric(q) citations each.
 
-    Same law, drawn from its Beta mixture: Geometric(qW) with
+    Drawn from its Beta mixture: Geometric(qW) with
     W ~ Beta(p, 1-p), one Beta and one exponential per author
     (``samplers.author_citations_rvs``).
     """

@@ -27,7 +27,7 @@ raises instead of corrupting the next table.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,15 +72,12 @@ class PmfTable:
     ``mass_deficit`` is 1 - sum(masses) clamped to [0, 1] (tail mass
     beyond the table); ``tol_neg`` is the certified extraction error
     bound described in the module docstring.
-    ``overflow_hits`` counts samples that fell past the table when the
-    table is used for thinning (see the samplers).
     """
 
     ks: np.ndarray
     masses: np.ndarray
     mass_deficit: float
     tol_neg: float = DEFAULT_TOL_NEG
-    overflow_hits: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         self.ks = np.asarray(self.ks, dtype=np.int64)

@@ -27,6 +27,13 @@ Laplace families with their casual normalizers g_n
     TemperedStable   L(s) = exp{-lam^alpha (1+tan(pi alpha/2))((s+h)^alpha - h^alpha)},
                      g_n(s) = exp{h - ((s+h)^alpha/n + (n-1)h^alpha/n)^(1/alpha)}
 
+Parameter domains
+    Each family maps its fields to their intervals in one ``domains``
+    table, and a shared domain is one named interval.  The kind bases'
+    ``__post_init__`` coerces every field by its annotated type (a finite
+    float, or an integer >= 1) and checks it; only the cross-field rules
+    are code.  ``check_p`` checks p against the thinning's ``p_domain()``.
+
 Numerical form
     The discrete stability identity P(z) = P(Q_p(z))^n is tightest near
     the branch point z = 1, where forming 1 - Q_p(z) from a computed
@@ -80,18 +87,14 @@ __all__ = [
 ]
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ParameterError(message)
-
-
-def check_n(n: int) -> None:
+def check_n(n: int, name: str = "n") -> None:
     # inf % 1 and nan % 1 are nan, so both fail without int(n) raising
     try:
         count = n >= 1 and n % 1 == 0
     except TypeError:  # not a number, such as the text '3'
         count = False
-    _require(count, "n must be an integer >= 1")
+    if not count:  # the message is formatted only on failure
+        raise ParameterError(f"{name} must be an integer >= 1")
 
 
 def check_kind(obj, kind: type, noun: str) -> None:
@@ -100,12 +103,48 @@ def check_kind(obj, kind: type, noun: str) -> None:
         raise ParameterError(f"not a {noun} family: {obj!r}")
 
 
-def _coerce_float(obj, *fields: str) -> None:
-    # frozen dataclasses: normalize numeric fields to finite floats on construction
-    for name in fields:
-        value = float(getattr(obj, name))
-        _require(math.isfinite(value), f"{name} must be finite")
-        object.__setattr__(obj, name, value)
+@dataclass(frozen=True)
+class _Interval:
+    """A parameter domain: lo to hi, ``ends`` the brackets ("(]": lo open, hi closed), ``reason`` closing the message."""
+
+    lo: float
+    hi: float
+    ends: str = "()"
+    reason: str = ""
+
+    def check(self, name: str, value: float) -> None:
+        # inside, or at a closed end; a nan is neither
+        if not (self.lo < value < self.hi or value == self.lo and self.ends[0] == "["
+                or value == self.hi and self.ends[1] == "]"):
+            raise ParameterError(f"{name} must lie in {self.ends[0]}{self.lo}, {self.hi}{self.ends[1]}{self.reason}")
+
+
+_POSITIVE = _Interval(0, math.inf)
+_UNIT = _Interval(0, 1, "(]")
+_EXPONENT = _Interval(0, 1, "(]", ": the exponent of a discrete stable p.g.f. cannot be greater than 1")
+_KAPPA = _Interval(0, 1, "[)")  # the Moebius semigroup's kappa
+_CHEBYSHEV_B = _Interval(-1, 1)
+_COUNT = _Interval(1, math.inf, "[)")
+
+
+class _Family:
+    """Base of every family kind: each field coerced by its annotated type, then checked against ``domains``."""
+
+    domains: dict[str, _Interval] = {}  # field name -> its interval
+
+    def __post_init__(self) -> None:
+        fields = self.__dataclass_fields__
+        for name, domain in self.domains.items():
+            value = getattr(self, name)
+            if fields[name].type == "int":
+                check_n(value, name)
+                value = int(value)
+            else:
+                value = float(value)
+                if not math.isfinite(value):
+                    raise ParameterError(f"{name} must be finite")
+            domain.check(name, value)
+            object.__setattr__(self, name, value)  # frozen dataclasses
 
 
 def _complement(z):
@@ -162,7 +201,7 @@ def _jump_complement(gamma: float, q: float, kappa: float, v):
 # ---------------------------------------------------------------------------
 
 
-class PgfFamily:
+class PgfFamily(_Family):
     """Base of the p.g.f. families: P(z) from the complement kernel."""
 
     def pgf(self, z):
@@ -189,10 +228,6 @@ class CompoundPoisson(PgfFamily):
         # kappa = 0, m = 1 is SvhStable, whose Q_p is also the Bernoulli map
         return ((Bernoulli(), gamma), pair) if (kappa, m) == (0.0, 1) else (pair,)
 
-    def as_example1(self) -> Example1:
-        gamma, _, kappa, m = self.jump()
-        return Example1(lam=self.lam, gamma=gamma, kappa=kappa, m=m)
-
 
 @dataclass(frozen=True)
 class SvhStable(CompoundPoisson):
@@ -205,15 +240,7 @@ class SvhStable(CompoundPoisson):
 
     lam: float
     alpha: float
-
-    def __post_init__(self) -> None:
-        _coerce_float(self, "lam", "alpha")
-        _require(self.lam > 0, "lam must be positive")
-        _require(
-            0 < self.alpha <= 1,
-            "alpha must lie in (0, 1]: the exponent of a discrete stable "
-            "p.g.f. cannot be greater than 1",
-        )
+    domains = {"lam": _POSITIVE, "alpha": _EXPONENT}
 
     def jump(self) -> tuple[float, float, float, int]:
         return self.alpha, 1.0, 0.0, 1
@@ -231,18 +258,7 @@ class Example1(CompoundPoisson):
     gamma: float
     kappa: float
     m: int = 1
-
-    def __post_init__(self) -> None:
-        _coerce_float(self, "lam", "gamma", "kappa")
-        object.__setattr__(self, "m", int(self.m))
-        _require(self.lam > 0, "lam must be positive")
-        _require(
-            0 < self.gamma <= 1,
-            "gamma must lie in (0, 1]: W ~ 1 - z near z = 1, so a larger "
-            "exponent cannot give a p.g.f.",
-        )
-        _require(0 <= self.kappa < 1, "kappa must lie in [0, 1)")
-        _require(self.m >= 1, "m must be a positive integer")
+    domains = {"lam": _POSITIVE, "gamma": _EXPONENT, "kappa": _KAPPA, "m": _COUNT}
 
     def jump(self) -> tuple[float, float, float, int]:
         return self.gamma, 1.0 - self.kappa, self.kappa, self.m
@@ -270,12 +286,7 @@ class Example2(PgfFamily):
     lam: float
     gamma: float
     b: float
-
-    def __post_init__(self) -> None:
-        _coerce_float(self, "lam", "gamma", "b")
-        _require(self.lam > 0, "lam must be positive")
-        _require(0 < self.gamma <= 2, "gamma must lie in (0, 2]")
-        _require(-1 < self.b < 1, "b must lie in (-1, 1)")
+    domains = {"lam": _POSITIVE, "gamma": _Interval(0, 2, "(]"), "b": _CHEBYSHEV_B}
 
     def matched_pairs(self) -> tuple:
         return ((Example2Thin(self.b), self.gamma),)
@@ -290,10 +301,7 @@ class Geometric(PgfFamily):
     """Number of publications: P(k) = q(1-q)^(k-1) on {1, 2, ...}."""
 
     q: float
-
-    def __post_init__(self) -> None:
-        _coerce_float(self, "q")
-        _require(0 < self.q <= 1, "q must lie in (0, 1]")
+    domains = {"q": _UNIT}
 
     def pgf_from_complement(self, u):
         # q z / (1 - (1-q) z) with both parts rewritten in u = 1 - z
@@ -310,10 +318,7 @@ class Sibuya(PgfFamily):
     """
 
     p: float
-
-    def __post_init__(self) -> None:
-        _coerce_float(self, "p")
-        _require(0 < self.p <= 1, "p must lie in (0, 1]")
+    domains = {"p": _UNIT}
 
     def pgf_from_complement(self, u):
         return 1.0 - _power(u, self.p)
@@ -330,11 +335,7 @@ class AuthorCitations(PgfFamily):
 
     p: float
     q: float
-
-    def __post_init__(self) -> None:
-        _coerce_float(self, "p", "q")
-        _require(0 < self.p <= 1, "p must lie in (0, 1]")
-        _require(0 < self.q <= 1, "q must lie in (0, 1]")
+    domains = {"p": _UNIT, "q": _UNIT}
 
     def pgf_from_complement(self, u):
         return 1.0 - _jump_complement(self.p, self.q, 1.0 - self.q, u)
@@ -351,12 +352,7 @@ class FieldCitations(CompoundPoisson):
     lam: float
     p: float
     q: float
-
-    def __post_init__(self) -> None:
-        _coerce_float(self, "lam", "p", "q")
-        _require(self.lam > 0, "lam must be positive")
-        _require(0 < self.p <= 1, "p must lie in (0, 1]")
-        _require(0 < self.q <= 1, "q must lie in (0, 1]")
+    domains = {"lam": _POSITIVE, "p": _EXPONENT, "q": _UNIT}
 
     def jump(self) -> tuple[float, float, float, int]:
         # q itself: 1 - (1 - q) can differ from q in the last bit
@@ -372,20 +368,19 @@ class FieldCitations(CompoundPoisson):
 # ---------------------------------------------------------------------------
 
 
-class ThinningFamily:
+class ThinningFamily(_Family):
     """Base of the thinning families: the domain check of p.
 
     Each family's ``coordinate(u)`` turns its map into multiplication,
     c(1 - Q_p(z)) = p c(1 - z): the A-function of van Harn, Steutel and Vervaat (1982).
     """
 
-    def p_domain(self) -> tuple[float, bool, str]:
-        """Admissible p: (top, whether top itself is admissible, the interval as text)."""
-        return 1.0, True, "(0, 1]"
+    def p_domain(self) -> _Interval:
+        """The interval of admissible p."""
+        return _UNIT
 
     def check_p(self, p: float) -> None:
-        top, closed, text = self.p_domain()
-        _require(0 < p and (p <= top if closed else p < top), f"thinning parameter p must lie in {text}")
+        self.p_domain().check("thinning parameter p", p)
 
 
 @dataclass(frozen=True)
@@ -419,23 +414,17 @@ class Example1Thin(ThinningFamily):
 
     kappa: float
     m: int = 1
+    domains = {"kappa": _KAPPA, "m": _COUNT}
 
     def __post_init__(self) -> None:
-        _coerce_float(self, "kappa")
-        object.__setattr__(self, "m", int(self.m))
-        _require(self.m >= 1, "m must be a positive integer")
-        if self.m == 1:
-            _require(0 <= self.kappa < 1, "kappa must lie in [0, 1) when m = 1")
-        else:
-            _require(
-                0 < self.kappa < 1,
-                "kappa must lie in (0, 1) when m > 1 (admissibility needs p < kappa)",
-            )
+        super().__post_init__()
+        if self.m > 1 and self.kappa == 0:
+            raise ParameterError("kappa must lie in (0, 1) when m > 1 (admissibility needs p < kappa)")
 
-    def p_domain(self) -> tuple[float, bool, str]:
+    def p_domain(self) -> _Interval:
         if self.m == 1:
-            return 1.0, True, "(0, 1] when m = 1"
-        return self.kappa, False, f"(0, kappa) = (0, {self.kappa}) when m > 1"
+            return _UNIT
+        return _Interval(0, self.kappa, "()", " = (0, kappa) when m > 1")
 
     def complement_map(self, p: float, u):
         self.check_p(p)
@@ -466,10 +455,7 @@ class Example2Thin(ThinningFamily):
     """
 
     b: float
-
-    def __post_init__(self) -> None:
-        _coerce_float(self, "b")
-        _require(-1 < self.b < 1, "b must lie in (-1, 1)")
+    domains = {"b": _CHEBYSHEV_B}
 
     def complement_map(self, p: float, u):
         self.check_p(p)
@@ -500,7 +486,7 @@ def _check_s(s) -> None:
         raise ParameterError("s must be nonnegative")
 
 
-class LaplaceFamily:
+class LaplaceFamily(_Family):
     """Base of the Laplace families: L(s) and g_n(s) from their logarithms."""
 
     def laplace(self, s):
@@ -520,11 +506,7 @@ class Gamma(LaplaceFamily):
 
     b: float
     gamma_shape: float
-
-    def __post_init__(self) -> None:
-        _coerce_float(self, "b", "gamma_shape")
-        _require(self.b > 0, "b must be positive")
-        _require(self.gamma_shape > 0, "gamma_shape must be positive")
+    domains = {"b": _POSITIVE, "gamma_shape": _POSITIVE}
 
     def log_laplace(self, s):
         _check_s(s)
@@ -552,17 +534,13 @@ class TemperedStable(LaplaceFamily):
     lam: float
     alpha: float
     h: float
+    domains = {"lam": _POSITIVE, "alpha": _Interval(0, 1), "h": _POSITIVE}
 
     def __post_init__(self) -> None:
-        _coerce_float(self, "lam", "alpha", "h")
-        _require(self.lam > 0, "lam must be positive")
-        _require(0 < self.alpha < 1, "alpha must lie in (0, 1)")
+        super().__post_init__()
         inv = 1.0 / self.alpha
-        _require(
-            abs(inv - round(inv)) < 1e-9,
-            "1/alpha must be a positive integer for the normalizer family",
-        )
-        _require(self.h > 0, "h must be positive")
+        if abs(inv - round(inv)) >= 1e-9:
+            raise ParameterError("1/alpha must be a positive integer for the normalizer family")
 
     @property
     def tempering_coefficient(self) -> float:

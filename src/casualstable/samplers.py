@@ -7,17 +7,13 @@ task, never a shared global state.  Each sampler takes the family
 object whose law it draws, so parameter domains are checked once, when
 the family is constructed.
 
-Two Sibuya samplers are provided.  ``sample_sibuya`` runs the
-generative mechanism itself (a paper with k-1 citations stops being
-cited with probability p/k), which is exact but heavy-tailed in running
-time, so it carries a hard iteration cap; the tests keep it as the
-sequential reference for the bulk law.  Every array draw of a Sibuya or
-citation law comes from one Beta mixture of geometrics: a Sibuya(p)
-many Geometric(q) sum (``AuthorCitations``) is one Geometric(qW) draw
-with W ~ Beta(p, 1-p).  ``author_citations_rvs`` draws it as one Beta
-and one exponential per value, ``sibuya_rvs`` is its q = 1 case and
-``ex1_rvs`` (also ``svh_rvs``) draws every ``CompoundPoisson`` jump through
-it, so no sampler searches a table and the value cap lives in one place.
+Every array draw of a Sibuya or citation law comes from one Beta
+mixture of geometrics: a Sibuya(p) many Geometric(q) sum
+(``AuthorCitations``) is one Geometric(qW) draw with W ~ Beta(p, 1-p).
+``author_citations_rvs`` draws it as one Beta and one exponential per
+value, ``sibuya_rvs`` is its q = 1 case and ``ex1_rvs`` (also
+``svh_rvs``) draws every ``CompoundPoisson`` jump through it, so no
+sampler searches a table and the value cap lives in one place.
 """
 
 from __future__ import annotations
@@ -34,27 +30,22 @@ from .errors import (
     UnsupportedError,
 )
 from .extraction import PmfTable
-from .families import AuthorCitations, CompoundPoisson, Geometric, Sibuya, TemperedStable
+from .families import AuthorCitations, CompoundPoisson, Sibuya, TemperedStable
 
 __all__ = [
     "Seed",
     "make_rng",
-    "sample_sibuya",
     "thin_general",
-    "geometric_rvs",
     "sibuya_rvs",
     "author_citations_rvs",
     "svh_rvs",
     "ex1_rvs",
     "inverse_gaussian_rvs",
-    "SIBUYA_ITERATION_CAP",
 ]
 
-SIBUYA_ITERATION_CAP = 10 ** 9
 # array draws: int64 up to INT_CAP (no sum overflows), float64 up to FLOAT_CAP
 INT_CAP = 2 ** 61
 FLOAT_CAP = float(np.finfo(np.float64).max)
-_SIBUYA_BLOCK = 1 << 16
 _MAX_TABLE_DEFICIT = 1e-6
 
 
@@ -68,7 +59,11 @@ class Seed:
     def __post_init__(self) -> None:
         for name in ("value", "stream_id"):
             v = getattr(self, name)
-            if int(v) != v or not 0 <= int(v) < 2 ** 64:
+            try:  # no float round trip, so 2^64 - 1 stays exact; nan and inf fail v % 1 == 0
+                whole = v % 1 == 0 and 0 <= v < 2 ** 64
+            except TypeError:  # not a number
+                whole = False
+            if not whole:
                 raise ParameterError(f"{name} must be a 64-bit unsigned integer")
             object.__setattr__(self, name, int(v))
 
@@ -89,43 +84,13 @@ def make_rng(seed: Seed) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def sample_sibuya(family: Sibuya, rng: np.random.Generator, *, cap: int = SIBUYA_ITERATION_CAP) -> int:
-    """One draw from the sequential citation mechanism.
-
-    Start at k = 1; stop with probability p/k, else advance.  The
-    resulting law is P(k) = p (1-p)_(k-1)/k! with survival ~ k^(-p).
-    Running time is proportional to the value drawn, so the loop stops
-    with an ``IterationCapError`` after ``cap`` steps; the error keeps
-    runaway tail draws (probability ~ cap^(-p)) from hanging callers.
-    """
-    p = family.p
-    if p == 1.0:
-        return 1
-    k = 1
-    block = 64  # most draws stop within a few steps; grow 64x on escape
-    while k <= cap:
-        # vectorize the stop trials in blocks; acceptance at step k has
-        # probability p/k, checked against one uniform per step
-        block = min(block, cap - k + 1)
-        steps = np.arange(k, k + block, dtype=float)
-        hits = rng.random(block) < (p / steps)
-        if hits.any():
-            return int(k + np.argmax(hits))
-        k += block
-        block = min(block * 64, _SIBUYA_BLOCK)
-    raise IterationCapError(
-        f"sibuya draw exceeded the iteration cap {cap}; the tail event has "
-        f"probability ~ cap^(-p) = {cap ** -p:.2e}"
-    )
-
-
-def thin_general(x: int, law: PmfTable, rng: np.random.Generator) -> int:
+def thin_general(x: int, law: PmfTable, rng: np.random.Generator) -> tuple[int, int]:
     """Sum of x independent draws from a tabulated normalizer law.
 
     A multinomial split of the x draws over the table's atoms (memory
     O(atoms), independent of x, so heavy-tailed counts are safe); the
     residual ``mass_deficit`` is assigned to the largest tabulated atom,
-    and ``law.overflow_hits`` counts how often that bucket was used.
+    and the second value returned counts how often that bucket was used.
     """
     if x < 0:
         raise ParameterError("x must be nonnegative")
@@ -135,23 +100,17 @@ def thin_general(x: int, law: PmfTable, rng: np.random.Generator) -> int:
             "rebuild the table with a larger n_max before sampling"
         )
     if x == 0:
-        return 0
+        return 0, 0
     probs = np.clip(law.masses, 0.0, None)  # certified noise only
     pvals = np.append(probs, law.mass_deficit)
     counts = rng.multinomial(x, pvals / pvals.sum())
-    if counts[-1]:
-        law.overflow_hits += int(counts[-1])
     total = law.ks @ counts[:-1] + law.ks[-1] * counts[-1]
-    return int(total)
+    return int(total), int(counts[-1])
 
 
 # ---------------------------------------------------------------------------
 # array samplers
 # ---------------------------------------------------------------------------
-
-
-def geometric_rvs(family: Geometric, rng: np.random.Generator, size: int) -> np.ndarray:
-    return rng.geometric(family.q, size).astype(np.int64)
 
 
 def _cap_tail(p: float, q: float) -> float:

@@ -21,7 +21,6 @@ from casualstable import (
     lower_median,
     make_rng,
     ranking_instability,
-    simulate_author,
     simulate_field,
     solve_pn,
     tail_exponent,
@@ -29,6 +28,7 @@ from casualstable import (
     top_share,
 )
 from casualstable.citations import _spearman
+from reference import as_example1, simulate_author
 
 # author p.g.f. 1 - (1 - qz/(1-(1-q)z))^p at p = q = 1/2, mpmath dps=60
 AUTHOR_PGF = {0.2: 0.057190958417936634, 0.5: 0.18350341907227397, 0.8: 0.42264973081037424}
@@ -133,7 +133,7 @@ def test_field_reproduces_under_thinned_superposition():
     field = FieldCitations(1.0, 0.5, 0.5)
     thin = Example1Thin(0.5, 1)
     n = 2
-    p = solve_pn(field.as_example1(), thin, n)
+    p = solve_pn(as_example1(field), thin, n)
     law = extract_pmf(lambda z: thin.thin(p, z), 100)
     size = 20_000
     base = field_totals(FieldSim(FieldCitations(1.0, 0.5, 0.5), Seed(36, 0)), size)
@@ -141,7 +141,7 @@ def test_field_reproduces_under_thinned_superposition():
     parts = np.zeros(size, dtype=np.int64)
     for i in range(n):
         copy = field_totals(FieldSim(FieldCitations(1.0, 0.5, 0.5), Seed(36, 2 + i)), size)
-        parts += np.array([thin_general(int(v), law, rng) for v in copy])
+        parts += np.array([thin_general(int(v), law, rng)[0] for v in copy])
     grid = np.unique(np.concatenate([base, parts]))
     cb = np.searchsorted(np.sort(base), grid, side="right") / size
     cp = np.searchsorted(np.sort(parts), grid, side="right") / size

@@ -24,6 +24,7 @@ from casualstable import (
     TemperedStable,
 )
 from casualstable.stability import default_z_grid
+from reference import as_example1
 
 Z = np.linspace(0.0, 1.0, 41)
 
@@ -136,6 +137,75 @@ def test_check_n_refuses_every_non_count(n):
         families.check_n(n)
 
 
+@pytest.mark.parametrize("m", [2.5, float("nan"), float("inf"), 0])
+@pytest.mark.parametrize(
+    "ctor", [lambda m: Example1(1.0, 0.5, 0.3, m), lambda m: Example1Thin(0.3, m)], ids=["Example1", "Example1Thin"]
+)
+def test_integer_field_refuses_a_non_count(ctor, m):
+    # int(m) alone would read 2.5 as 2 and raise ValueError or OverflowError on nan or inf
+    with pytest.raises(ParameterError, match="^m must be"):
+        ctor(m)
+
+
+# ---------------------------------------------------------------------------
+# each field's declared domain is the one construction enforces
+# ---------------------------------------------------------------------------
+
+DOMAIN_CASES = [(family, name) for family in VALID for name in type(family).domains]
+
+
+def domain_defects(instance, name, domain) -> list[str]:
+    """Where constructing ``instance`` with field ``name`` at or just past an end of ``domain`` departs from it."""
+    defects = []
+
+    def accepts(value) -> bool:
+        try:
+            dataclasses.replace(instance, **{name: value})
+        except ParameterError as error:
+            if not str(error).startswith(f"{name} must"):
+                defects.append(f"{name} = {value!r} refused without naming the field: {error}")
+            return False
+        return True
+
+    for end, bracket, outward in ((domain.lo, domain.ends[0], -np.inf), (domain.hi, domain.ends[1], np.inf)):
+        closed = bracket in "[]"
+        if accepts(end) != closed:
+            defects.append(f"{name} = {end!r} {'refused' if closed else 'accepted'} at a {bracket} end")
+        if np.isfinite(end) and accepts(np.nextafter(end, outward)):
+            defects.append(f"{name} just outside {end!r} accepted")
+    return defects
+
+
+def test_every_field_has_a_domain():
+    assert [
+        type(family).__name__ for family in VALID
+        if list(type(family).domains) != [field.name for field in dataclasses.fields(family)]
+    ] == []
+
+
+@pytest.mark.parametrize(
+    "family, name", DOMAIN_CASES, ids=[f"{type(f).__name__}.{name}" for f, name in DOMAIN_CASES]
+)
+def test_construction_enforces_the_declared_domain(family, name):
+    assert domain_defects(family, name, type(family).domains[name]) == []
+
+
+@pytest.mark.parametrize(
+    "family, name", DOMAIN_CASES, ids=[f"{type(f).__name__}.{name}" for f, name in DOMAIN_CASES]
+)
+def test_domain_check_sees_a_flipped_bracket(family, name):
+    # negative control: a copy of the domain with either bracket flipped is not what construction enforces
+    domain = type(family).domains[name]
+    flip = {"(": "[", "[": "(", ")": "]", "]": ")"}
+    for ends in (flip[domain.ends[0]] + domain.ends[1], domain.ends[0] + flip[domain.ends[1]]):
+        assert domain_defects(family, name, dataclasses.replace(domain, ends=ends)) != []
+
+
+def test_matched_family_and_thinning_share_their_domain():
+    assert Example1.domains["kappa"] is Example1Thin.domains["kappa"]
+    assert Example2.domains["b"] is Example2Thin.domains["b"]
+
+
 @pytest.mark.parametrize("s", [-1.0, float("nan")])
 def test_laplace_transforms_refuse_a_negative_or_nan_argument(s):
     for family in (Gamma(1.0, 2.0), TemperedStable(1.0, 0.5, 1.0)):
@@ -181,7 +251,7 @@ def test_author_is_sibuya_of_geometric():
 
 def test_field_reduces_to_example1():
     field = FieldCitations(2.0, 0.6, 0.3)
-    ex1 = field.as_example1()
+    ex1 = as_example1(field)
     assert ex1 == Example1(2.0, 0.6, 0.7, 1)
     assert np.allclose(field.pgf(Z), ex1.pgf(Z), atol=1e-15)
 
@@ -410,4 +480,4 @@ def test_field_pin_sees_q_recomputed_through_example1(points):
     # negative control: the Example1 view forms q as 1 - (1 - q), which
     # moves some kernel values by an ulp, and the pin sees it
     field, u = FieldCitations(1.0, 0.7, 0.3), PIN_POINTS[points]
-    assert not same_bits(field.as_example1().pgf_from_complement(u), field.pgf_from_complement(u))
+    assert not same_bits(as_example1(field).pgf_from_complement(u), field.pgf_from_complement(u))

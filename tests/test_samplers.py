@@ -28,15 +28,14 @@ from casualstable import (
     UnsupportedError,
     extract_pmf,
     ex1_rvs,
-    geometric_rvs,
     inverse_gaussian_rvs,
     make_rng,
-    sample_sibuya,
     sibuya_rvs,
     svh_rvs,
     thin_general,
 )
 from casualstable.samplers import _cap_tail, author_citations_rvs
+from reference import geometric_rvs, sample_sibuya
 
 KS_CRIT = 1.9495  # scaled two-sample KS at the 1e-3 level
 FLOAT_MAX = np.finfo(np.float64).max  # the array samplers' value cap
@@ -57,6 +56,21 @@ def test_seed_validation():
     with pytest.raises(ParameterError):
         Seed(2**64)
     assert Seed(7).with_stream(2) == Seed(7, 2)
+
+
+@pytest.mark.parametrize(
+    "value, stream_id",
+    [(float("nan"), 0), (float("inf"), 0), (0, float("nan")), (0, float("inf")), (-1, 0), (2 ** 64, 0)],
+)
+def test_seed_refuses_a_non_64_bit_unsigned_integer(value, stream_id):
+    # int(v) alone would raise ValueError or OverflowError on nan or inf
+    with pytest.raises(ParameterError, match="must be a 64-bit unsigned integer"):
+        Seed(value, stream_id)
+
+
+def test_seed_keeps_the_largest_value_exact():
+    seed = Seed(2 ** 64 - 1, np.uint64(2 ** 64 - 1))
+    assert (seed.value, seed.stream_id) == (2 ** 64 - 1, 2 ** 64 - 1)
 
 
 def test_rng_determinism_and_stream_independence():
@@ -387,7 +401,7 @@ def test_thin_general_reproduces_thinned_law():
     law = extract_pmf(lambda z: 1.0 - p + p * z, 1)
     rng = make_rng(Seed(21, 0))
     x = svh_rvs(SvhStable(lam, alpha), rng, 10_000)
-    thinned = np.array([thin_general(int(v), law, rng) for v in x])
+    thinned = np.array([thin_general(int(v), law, rng)[0] for v in x])
     direct = svh_rvs(SvhStable(lam * p**alpha, alpha), make_rng(Seed(21, 1)), 10_000)
     assert scaled_ks(thinned, direct) < KS_CRIT
 
@@ -409,9 +423,9 @@ class _TopHitRng:
 
 def test_thin_general_overflow_counter():
     law = PmfTable(ks=[0, 1], masses=[0.6, 0.4 - 5e-7], mass_deficit=5e-7)
-    out = thin_general(10, law, _TopHitRng())
+    out, hits = thin_general(10, law, _TopHitRng())
     assert out == 10  # clamped to the last atom ten times
-    assert law.overflow_hits == 10
+    assert hits == 10
 
 
 def test_inverse_gaussian_matches_laplace():

@@ -252,8 +252,8 @@ def test_compose_thinning_recovers_product():
 
 def scaled_thinning_p(thinning, fraction: float) -> float:
     """fraction of the top of the thinning's domain, kept below an open top."""
-    top, closed, _ = thinning.p_domain()
-    return fraction * top * (1.0 if closed else 0.95)
+    domain = thinning.p_domain()
+    return fraction * domain.hi * (1.0 if domain.ends[1] == "]" else 0.95)
 
 
 any_thinning = st.one_of(
