@@ -7,7 +7,8 @@ transform 1 - (1 - G(z))^p (``AuthorCitations``), and the field total is
 ``FieldCitations``, a discrete stable law.  Bulk draws use the Beta
 mixture form of that composition: with W ~ Beta(p, 1-p) an author's
 count is Geometric(qW), so ``author_rvs`` and ``field_totals`` draw one
-Beta and one exponential per author (``samplers.author_citations_rvs``).
+W (Joehnk's rejection on a pair of exponentials) and one exponential
+per author (``samplers.author_citations_rvs``).
 Because the per-author law has survival ~ k^(-p) with infinite mean for
 p < 1, sample means are dominated by a single extreme author while the
 median stays put: the summary statistics here (mean/median ratio,
@@ -43,30 +44,56 @@ MIN_TAIL_SAMPLES = 10 ** 4
 TOP_FRACTION = 0.01
 
 
-def lower_median(samples: np.ndarray) -> float:
-    """Smallest value whose empirical CDF reaches 1/2 (atom-valued)."""
-    ordered = np.sort(np.asarray(samples))
+# Each statistic reads a sorted sample, so a field summary sorts once;
+# the public functions below sort for themselves.
+
+
+def _median_of_sorted(ordered: np.ndarray) -> float:
     if ordered.size == 0:
         raise InsufficientDataError("median of an empty sample")
-    n = ordered.size
-    index = (n - 1) // 2 if n % 2 else n // 2 - 1
-    return float(ordered[index])
+    return float(ordered[(ordered.size - 1) // 2])
+
+
+def _mode_of_sorted(ordered: np.ndarray) -> int:
+    if ordered.size == 0:
+        raise InsufficientDataError("mode of an empty sample")
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(starts, append=ordered.size)
+    return int(ordered[starts[int(np.argmax(counts))]])
+
+
+def _top_share_of_descending(x: np.ndarray) -> float:
+    k = max(1, int(TOP_FRACTION * x.size))
+    total = x.sum()
+    return float(x[:k].sum() / total) if total > 0 else 0.0
+
+
+def _hill_of_descending(x: np.ndarray) -> float:
+    if x.size < MIN_TAIL_SAMPLES:
+        raise InsufficientDataError(
+            f"tail estimation needs at least {MIN_TAIL_SAMPLES} samples >= 1; got {x.size}"
+        )
+    k = int(TOP_FRACTION * x.size)
+    logs = np.log(x[:k])
+    spacing = float(np.mean(logs) - np.log(x[k]))
+    if spacing <= 0.0:
+        return float("inf")
+    return 1.0 / spacing
+
+
+def lower_median(samples: np.ndarray) -> float:
+    """Smallest value whose empirical CDF reaches 1/2 (atom-valued)."""
+    return _median_of_sorted(np.sort(np.asarray(samples)))
 
 
 def empirical_mode(samples: np.ndarray) -> int:
     """Most frequent atom; ties broken toward the smaller one."""
-    values, counts = np.unique(np.asarray(samples), return_counts=True)
-    if values.size == 0:
-        raise InsufficientDataError("mode of an empty sample")
-    return int(values[int(np.argmax(counts))])
+    return _mode_of_sorted(np.sort(np.asarray(samples)))
 
 
 def top_share(samples: np.ndarray) -> float:
     """Share of the total held by the top ``TOP_FRACTION`` of the sample."""
-    x = np.sort(np.asarray(samples, dtype=float))[::-1]
-    k = max(1, int(TOP_FRACTION * x.size))
-    total = x.sum()
-    return float(x[:k].sum() / total) if total > 0 else 0.0
+    return _top_share_of_descending(np.sort(np.asarray(samples, dtype=float))[::-1])
 
 
 @dataclass(frozen=True)
@@ -105,7 +132,7 @@ def author_rvs(family: AuthorCitations, rng: np.random.Generator, size: int) -> 
     """Array of per-author citation counts: Sibuya(p) papers, Geometric(q) citations each.
 
     Drawn from its Beta mixture: Geometric(qW) with
-    W ~ Beta(p, 1-p), one Beta and one exponential per author
+    W ~ Beta(p, 1-p), one W and one exponential per author
     (``samplers.author_citations_rvs``).
     """
     return author_citations_rvs(family, rng, size)
@@ -115,8 +142,11 @@ def _summarize(citations: np.ndarray) -> SimSummary:
     n = int(citations.size)
     if n == 0:
         return SimSummary(0, citations, 0, float("nan"), float("nan"), 0, float("nan"), 0.0)
-    try:
-        tail_hat = tail_exponent(citations)
+    ordered = np.sort(citations)
+    # descending floats, the same view the public functions sum over
+    descending = np.asarray(ordered, dtype=float)[::-1]
+    try:  # the values >= 1 lead the descending array
+        tail_hat = _hill_of_descending(descending[: n - int(np.searchsorted(ordered, 1))])
     except InsufficientDataError:
         tail_hat = float("nan")
     return SimSummary(
@@ -124,10 +154,10 @@ def _summarize(citations: np.ndarray) -> SimSummary:
         per_author_citations=citations,
         total=int(citations.sum()),
         mean=float(citations.mean()),
-        median=lower_median(citations),
-        mode=empirical_mode(citations),
+        median=_median_of_sorted(ordered),
+        mode=_mode_of_sorted(ordered),
         tail_exponent_hat=tail_hat,
-        top_share=top_share(citations),
+        top_share=_top_share_of_descending(descending),
     )
 
 
@@ -158,18 +188,7 @@ def tail_exponent(samples) -> float:
     signal that no power law is present.
     """
     x = np.asarray(samples, dtype=float)
-    x = x[x >= 1]
-    if x.size < MIN_TAIL_SAMPLES:
-        raise InsufficientDataError(
-            f"tail estimation needs at least {MIN_TAIL_SAMPLES} samples >= 1; got {x.size}"
-        )
-    x = np.sort(x)[::-1]
-    k = int(TOP_FRACTION * x.size)
-    logs = np.log(x[:k])
-    spacing = float(np.mean(logs) - np.log(x[k]))
-    if spacing <= 0.0:
-        return float("inf")
-    return 1.0 / spacing
+    return _hill_of_descending(np.sort(x[x >= 1])[::-1])
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

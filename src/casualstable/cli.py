@@ -6,6 +6,7 @@ seeds and machine-readable output:
     check-stability   discrete or casual stability residuals over an n-range
     check-pgf         coefficient nonnegativity of thinning p.g.f.s
     citations         field simulation summaries, optional TV cross-check
+                      (exit 1 when the distance exceeds its sampling bound)
     converge          condition (b) values and transform-domain distances
 
 Output is CSV with a fixed header per command (``--json`` switches to
@@ -61,6 +62,8 @@ DEFAULT_STABILITY_TOL = 1e-10
 DEFAULT_COEFF_TOL = 1e-8
 # largest admissible certified error of the TV distance, 0.5 (atoms + 1) tol_neg
 TV_CERTIFICATE_TOL = 0.01
+# chance that a correct sampler's TV distance exceeds the bound it is judged by
+TV_TAIL_PROBABILITY = 1e-9
 _USAGE_ERRORS = (ParameterError, UnsupportedError, TableError, InsufficientDataError, argparse.ArgumentError)
 _CHECK_ERRORS = (PrecisionError, IterationCapError)
 
@@ -243,6 +246,20 @@ def cmd_check_pgf(args) -> int:
     return 0
 
 
+def _tv_bound(table, n_fields: int) -> float:
+    """TV distance that a correct sampler exceeds with probability below ``TV_TAIL_PROBABILITY``.
+
+    E[TV] <= 0.5 sum sqrt(p_k (1 - p_k)/N) (Jensen), and one field moves
+    TV by at most 1/N, so by McDiarmid it exceeds its mean by
+    sqrt(log(1/delta)/(2N)) with probability below delta; each mass may
+    be off by tol_neg, so the table's summed certificate is added.
+    """
+    masses = np.clip(table.masses, 0.0, 1.0)
+    mean = 0.5 * float(np.sqrt(masses * (1.0 - masses) / n_fields).sum())
+    deviation = math.sqrt(math.log(1.0 / TV_TAIL_PROBABILITY) / (2.0 * n_fields))
+    return mean + deviation + table.tol_neg * masses.size
+
+
 def cmd_citations(args) -> int:
     header = [
         "record",
@@ -289,8 +306,16 @@ def cmd_citations(args) -> int:
         counts = np.bincount(totals[totals <= atoms].astype(np.int64), minlength=atoms + 1)
         empirical = counts / len(totals)
         tv = 0.5 * float(np.abs(empirical - table.masses).sum())
+        bound = _tv_bound(table, fields)
         rows.append({"record": "tv_check", "tv_distance": tv})
     emit(header, rows, out=args.out, as_json=args.json)
+    if args.tv_check and tv > bound:
+        print(
+            f"tv check failed: tv_distance {fmt(tv)} > bound {fmt(bound)} "
+            f"(sampling mean, deviation at probability {TV_TAIL_PROBABILITY:.0e}, table certificate)",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -10,8 +10,9 @@ the family is constructed.
 Every array draw of a Sibuya or citation law comes from one Beta
 mixture of geometrics: a Sibuya(p) many Geometric(q) sum
 (``AuthorCitations``) is one Geometric(qW) draw with W ~ Beta(p, 1-p).
-``author_citations_rvs`` draws it as one Beta and one exponential per
-value, ``sibuya_rvs`` is its q = 1 case and ``ex1_rvs`` (also
+``author_citations_rvs`` draws it as one W and one exponential per
+value, each W by Joehnk's rejection on a pair of exponentials
+(``_beta``); ``sibuya_rvs`` is its q = 1 case and ``ex1_rvs`` (also
 ``svh_rvs``) draws every ``CompoundPoisson`` jump through it, so no
 sampler searches a table and the value cap lives in one place.
 """
@@ -47,6 +48,7 @@ __all__ = [
 INT_CAP = 2 ** 61
 FLOAT_CAP = float(np.finfo(np.float64).max)
 _MAX_TABLE_DEFICIT = 1e-6
+_BETA_CHUNK = 16384  # exponential pairs per pass of _beta: 256 KiB, cache-resident
 
 
 @dataclass(frozen=True)
@@ -130,10 +132,46 @@ def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if values.dtype.kind == "f":  # each run on its own: a huge value must not round later runs
         runs = np.repeat(np.arange(len(counts)), counts)
         return np.bincount(runs, weights=values, minlength=len(counts))
-    boundaries = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=boundaries[1:])
-    prefix = np.concatenate([[0], np.cumsum(values)])
-    return prefix[boundaries[1:]] - prefix[boundaries[:-1]]
+    prefix = np.zeros(values.size + 1, dtype=values.dtype)
+    np.cumsum(values, out=prefix[1:])
+    return np.diff(prefix[np.cumsum(counts)], prepend=0)
+
+
+def _beta(rng: np.random.Generator, a: float, b: float, size: int) -> np.ndarray:
+    """Array of Beta(a, b) draws by Joehnk's rejection on exponential pairs.
+
+    For U, V uniform, X = U^(1/a) and Y = V^(1/b) conditioned on
+    X + Y <= 1 give X/(X+Y) ~ Beta(a, b) (Joehnk 1964, Metrika 8:5;
+    Devroye 1986, Non-Uniform Random Variate Generation, IX.3).  With
+    E = -log U standard exponential, U^(1/a) = exp(-E/a), so each pass
+    draws a chunk of ziggurat exponential pairs, exponentiates them in
+    place and keeps X/(X+Y) wherever X + Y <= 1; a pass keeps a pair with
+    probability Gamma(a+1) Gamma(b+1)/Gamma(a+b+1), at least pi/4 when
+    a + b = 1, and the surplus of the last pass is dropped.
+
+    With a + b = 1, X + Y > 0 always: max(a, b) >= 1/2 and a ziggurat
+    exponential stays below about 45, so max(X, Y) >= exp(-90).  A W
+    that underflows to 0 or a subnormal is returned as it is, as
+    numpy's ``beta`` would; the caller refuses the value it yields.
+    Size 0 draws nothing.
+    """
+    out = np.empty(size)
+    pair = np.empty((2, min(_BETA_CHUNK, size + size // 2 + 8)))
+    x, y = pair
+    filled = 0
+    while filled < size:
+        rng.standard_exponential(out=pair)
+        x *= -1.0 / a
+        y *= -1.0 / b
+        np.exp(pair, out=pair)
+        y += x
+        keep = y <= 1.0
+        w = x[keep]
+        w /= y[keep]
+        take = min(w.size, size - filled)
+        out[filled:filled + take] = w[:take]
+        filled += take
+    return out
 
 
 def author_citations_rvs(family: AuthorCitations, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -143,8 +181,9 @@ def author_citations_rvs(family: AuthorCitations, rng: np.random.Generator, size
     E[(1-z)/(1-z+Wz)] = (1-z)^p, because 2F1(1, p; 1; -c) = (1+c)^(-p).
     A Geometric(W) sum of Geometric(q) draws is Geometric(qW), so each
     value is X = 1 + floor(E / -log(1 - qW)) with E standard exponential:
-    one Beta and one exponential per draw, all W first, then all E.  At
-    p = 1, W = 1 and no Beta is drawn.  The values are int64, or float64
+    one W (by ``_beta``, Joehnk's rejection on exponential pairs) and one
+    exponential per draw, all W first, then all E.  At p = 1, W = 1 and
+    no Beta is drawn.  The values are int64, or float64
     when a draw exceeds 2^61 (~ (q 2^61)^(-p)/Gamma(1-p) per draw,
     5.25e-10 at p = q = 1/2); a draw beyond the float64 maximum F
     (~ (q F)^(-p)/Gamma(1-p), 4e-16 at p = 0.05) raises ``IterationCapError``.
@@ -152,7 +191,7 @@ def author_citations_rvs(family: AuthorCitations, rng: np.random.Generator, size
     p, q = family.p, family.q
     if size < 0:
         raise ParameterError("size must be nonnegative")
-    w = np.ones(size) if p == 1.0 else rng.beta(p, 1.0 - p, size)
+    w = np.ones(size) if p == 1.0 else _beta(rng, p, 1.0 - p, size)
     e = rng.standard_exponential(size)
     # in place: e becomes floor(E / rate) with rate = -log(1 - qW); qW = 1
     # gives rate inf and X = 1, a W that underflows to 0 or a subnormal

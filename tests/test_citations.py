@@ -27,7 +27,7 @@ from casualstable import (
     thin_general,
     top_share,
 )
-from casualstable.citations import _spearman
+from casualstable.citations import _spearman, _summarize
 from reference import as_example1, simulate_author
 
 # author p.g.f. 1 - (1 - qz/(1-(1-q)z))^p at p = q = 1/2, mpmath dps=60
@@ -44,6 +44,29 @@ def test_order_statistics_helpers():
     assert share == pytest.approx(1.0)
     with pytest.raises(InsufficientDataError):
         lower_median(np.array([]))
+
+
+@pytest.mark.parametrize("size", [1, 2, 9_999, 10_000, 10_001, 50_000])
+@pytest.mark.parametrize("kind", ["authors", "float", "with_zeros"])
+def test_one_sort_summary_equals_the_public_statistics(size, kind):
+    # a field summary sorts once; each statistic must equal, bit for bit,
+    # its public function, which sorts for itself: int64 author counts,
+    # float64 counts past 2^61, and totals with zeros the Hill filter drops
+    rng = np.random.default_rng(size)
+    if kind == "authors":
+        x = author_rvs(AuthorCitations(0.5, 0.5), make_rng(Seed(size, 1)), size)
+    elif kind == "float":
+        x = 1.0 + np.floor(rng.pareto(0.05, size))
+    else:
+        x = rng.integers(0, 4, size)
+    try:
+        hill = tail_exponent(x)
+    except InsufficientDataError:
+        hill = float("nan")
+    summary = _summarize(x)
+    expected = (lower_median(x), empirical_mode(x), top_share(x), hill)
+    observed = (summary.median, summary.mode, summary.top_share, summary.tail_exponent_hat)
+    assert np.array_equal(observed, expected, equal_nan=True)
 
 
 def test_field_sim_validation():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casualstable import FieldCitations, FieldSim, Seed, cli, simulate_field
+from casualstable import FieldCitations, FieldSim, Seed, cli, field_totals, simulate_field
 from casualstable.cli import fmt, main, parse_float_list, parse_int_range
 from casualstable.errors import ParameterError
 
@@ -441,6 +441,32 @@ def test_citations_tv_check_enforces_its_certificate(capsys):
     code, out, err = run(argv + ["--tv-atoms", "200"], capsys)
     assert code == 0
     assert out.splitlines()[-1].startswith("tv_check,")
+
+
+TV_POWER_ARGV = ["citations", "--lambda", "1", "--p", "0.5", "--q", "0.5", "--seed", "3", "--replicates", "1",
+                 "--tv-check", "--tv-fields", "250000", "--tv-atoms", "200"]
+
+
+def test_citations_tv_check_fails_a_distance_above_its_bound(monkeypatch, capsys):
+    # negative control: field totals drawn at q = 0.55 against the q = 0.5
+    # table.  At lam = 1, 2.5e5 fields and 200 atoms the bound is 0.0137;
+    # over seeds 1-5 the true law reads TV 0.005-0.007, q = 0.55 and
+    # q = 0.45 read 0.015-0.018 and fail, while q = 0.52, p = 0.52 and
+    # lam = 1.02 read 0.008-0.013 and pass: the check sees about a 10%
+    # parameter error at this size
+    code, out, err = run(TV_POWER_ARGV, capsys)
+    assert (code, err) == (0, "")
+
+    def wrong_q(cfg, n_fields):
+        family = FieldCitations(cfg.family.lam, cfg.family.p, 0.55)
+        return field_totals(FieldSim(family, cfg.seed), n_fields)
+
+    monkeypatch.setattr(cli, "field_totals", wrong_q)
+    code, wrong_out, err = run(TV_POWER_ARGV, capsys)
+    assert code == 1
+    assert wrong_out.splitlines()[:-1] == out.splitlines()[:-1]  # the rows are printed all the same
+    tv = float(wrong_out.splitlines()[-1].split(",")[-1])
+    assert err.startswith(f"tv check failed: tv_distance {fmt(tv)} > bound 0.0137")
 
 
 def test_citations_help_states_the_value_cap(capsys):

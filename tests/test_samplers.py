@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from casualstable import (
     AuthorCitations,
@@ -34,7 +35,8 @@ from casualstable import (
     svh_rvs,
     thin_general,
 )
-from casualstable.samplers import _cap_tail, author_citations_rvs
+from casualstable import samplers
+from casualstable.samplers import _beta, _cap_tail, _segment_sums, author_citations_rvs
 from reference import geometric_rvs, sample_sibuya
 
 KS_CRIT = 1.9495  # scaled two-sample KS at the 1e-3 level
@@ -145,7 +147,7 @@ def test_sibuya_value_cap():
     x = sibuya_rvs(Sibuya(0.05), make_rng(Seed(5, 0)), 200)
     assert x.dtype == np.float64 and (x > 2.0 ** 61).any()
     rng = make_rng(Seed(5, 0))
-    w = rng.beta(0.05, 0.95, 200)
+    w = _beta(rng, 0.05, 0.95, 200)
     assert np.array_equal(x, 1.0 + np.floor(rng.standard_exponential(200) / -np.log1p(-w)))
 
 
@@ -157,6 +159,51 @@ def test_sibuya_value_cap_message_states_the_tail_probability():
     expected = float(mpmath.power(FLOAT_MAX, -p) / mpmath.gamma(1 - p))
     with pytest.raises(IterationCapError, match=f"= {expected:.2e} per draw"):
         sibuya_rvs(Sibuya(0.01), make_rng(Seed(5, 1)), 10 ** 4)
+
+
+# -- the Beta weights: Joehnk's rejection on exponential pairs --------------
+
+BETA_DRAWS = 10 ** 5
+
+
+def beta_ks(w, p):
+    """One-sample KS statistic of w against Beta(p, 1-p), scaled by sqrt(n);
+    its limit law is the two-sample one's, so KS_CRIT is its 1e-3 level."""
+    return float(stats.kstest(w, stats.beta(p, 1.0 - p).cdf).statistic * np.sqrt(w.size))
+
+
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.7])
+def test_beta_matches_the_beta_law(p):
+    assert beta_ks(_beta(make_rng(Seed(44, 0)), p, 1.0 - p, BETA_DRAWS), p) < KS_CRIT
+
+
+@pytest.mark.parametrize("p, ones", [(0.9, 0.024), (0.95, 0.16), (0.99, 0.69)])
+def test_beta_matches_numpy_where_w_rounds_to_one(p, ones):
+    # both samplers round W to 1.0 for a share `ones` of the draws, an
+    # atom the continuous Beta law lacks, so compare with numpy's draws
+    ours = _beta(make_rng(Seed(44, 1)), p, 1.0 - p, BETA_DRAWS)
+    theirs = make_rng(Seed(44, 2)).beta(p, 1.0 - p, BETA_DRAWS)
+    for w in (ours, theirs):
+        assert np.mean(w == 1.0) == pytest.approx(ones, rel=0.1)
+    assert scaled_ks(ours, theirs) < KS_CRIT
+
+
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.7])
+def test_beta_law_check_sees_a_shifted_parameter(p):
+    # negative control: Beta(p + 0.05, 0.95 - p) is not Beta(p, 1 - p)
+    assert beta_ks(_beta(make_rng(Seed(44, 3)), p + 0.05, 0.95 - p, BETA_DRAWS), p) > KS_CRIT
+
+
+@pytest.mark.parametrize("size", [0, 1, 16383, 16384, 16385])
+def test_beta_draws_its_size_and_replays(size):
+    # 16384 pairs make one pass, so the larger sizes take two passes
+    rng = make_rng(Seed(45, size))
+    w = _beta(rng, 0.3, 0.7, size)
+    assert w.shape == (size,) and w.dtype == np.float64
+    assert ((w >= 0.0) & (w <= 1.0)).all()
+    assert np.array_equal(w, _beta(make_rng(Seed(45, size)), 0.3, 0.7, size))
+    if size == 0:  # draws nothing: the stream is where it started
+        assert rng.random() == make_rng(Seed(45, size)).random()
 
 
 # -- AuthorCitations from its Beta mixture ---------------------------------
@@ -222,17 +269,9 @@ def oracle_misses(draws, p, q):
     return np.flatnonzero(np.abs(observed - expected) > bound)
 
 
-class _SymmetricBetaRng:
-    """Generator proxy whose beta(a, b) draws Beta(a, a): the Beta(p, p) mutant."""
-
-    def __init__(self, rng):
-        self._rng = rng
-
-    def beta(self, a, b, size):
-        return self._rng.beta(a, a, size)
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
+def symmetric_beta(monkeypatch):
+    """Make ``samplers._beta`` draw Beta(a, a) when asked for Beta(a, b): the Beta(p, p) mutant."""
+    monkeypatch.setattr(samplers, "_beta", lambda rng, a, b, size: _beta(rng, a, a, size))
 
 
 @pytest.mark.parametrize("p, q", ORACLE_CASES)
@@ -243,12 +282,14 @@ def test_author_citations_match_the_exact_table(p, q):
     assert oracle_misses(draws, p, q).size == 0
 
 
-def test_author_citations_oracle_catches_mutants():
+def test_author_citations_oracle_catches_mutants(monkeypatch):
     # Beta(p, p) for Beta(p, 1-p) changes the law wherever p is not 1/2
     # (at p = 1 no Beta is drawn); W for qW changes it wherever q < 1
     for p, q in ORACLE_CASES:
-        rng = _SymmetricBetaRng(make_rng(Seed(41, 1)))
-        draws = uncapped_draws(lambda size: author_citations_rvs(AuthorCitations(p, q), rng, size), ORACLE_DRAWS)
+        rng = make_rng(Seed(41, 1))
+        with monkeypatch.context() as patch:
+            symmetric_beta(patch)
+            draws = uncapped_draws(lambda size: author_citations_rvs(AuthorCitations(p, q), rng, size), ORACLE_DRAWS)
         assert (oracle_misses(draws, p, q).size > 0) == (p not in (0.5, 1.0))
         rng = make_rng(Seed(41, 2))
         draws = uncapped_draws(lambda size: author_citations_rvs(AuthorCitations(p, 1.0), rng, size), ORACLE_DRAWS)
@@ -280,7 +321,7 @@ def test_author_citations_value_cap_message_states_the_tail_probability():
         x = author_citations_rvs(AuthorCitations(0.05, 0.5), make_rng(Seed(5, 0)), 200)
         assert x.dtype == np.float64 and np.isfinite(x).all() and (x > 2.0 ** 61).any()
         # at p = 0.01 some Beta draws underflow to W = 0, an infinite value
-        assert (make_rng(Seed(5, 1)).beta(0.01, 0.99, 10 ** 4) == 0.0).any()
+        assert (_beta(make_rng(Seed(5, 1)), 0.01, 0.99, 10 ** 4) == 0.0).any()
         expected = float(exact_cap_tail(0.01, 0.5, FLOAT_MAX))
         with pytest.raises(IterationCapError, match=f"value cap, the float64 maximum 1.8e\\+308 .* = {expected:.2e} per draw"):
             author_citations_rvs(AuthorCitations(0.01, 0.5), make_rng(Seed(5, 1)), 10 ** 4)
@@ -311,6 +352,16 @@ def test_ex1_float_path_keeps_the_exact_total_of_every_small_field():
     assert 0 < small < size
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_segment_sums_match_the_sum_of_each_run(dtype):
+    # empty runs first, inside and last; int64 values near 2^61 stay exact
+    counts = np.array([0, 3, 0, 0, 2, 1, 0])
+    values = (np.arange(1, 7) * 2 ** 58).astype(dtype)
+    expected = [sum(run.tolist()) for run in np.split(values, np.cumsum(counts)[:-1])]
+    sums = _segment_sums(values, counts)
+    assert sums.dtype == dtype and sums.tolist() == expected
+
+
 SIBUYA_TAIL_KS = (8192, 10 ** 5, 10 ** 7)
 
 
@@ -339,10 +390,11 @@ def test_sibuya_far_tail_matches_the_exact_survival():
     assert np.abs(sibuya_tail_z(draws, 0.3)).max() <= 6.0
 
 
-def test_sibuya_far_tail_oracle_catches_the_symmetric_beta_mutant():
+def test_sibuya_far_tail_oracle_catches_the_symmetric_beta_mutant(monkeypatch):
     # Beta(0.3, 0.3) for Beta(0.3, 0.7) puts less mass on small W, so
     # fewer draws land in the far tail
-    rng = _SymmetricBetaRng(make_rng(Seed(43, 1)))
+    symmetric_beta(monkeypatch)
+    rng = make_rng(Seed(43, 1))
     draws = uncapped_draws(lambda size: sibuya_rvs(Sibuya(0.3), rng, size), ORACLE_DRAWS)
     assert np.abs(sibuya_tail_z(draws, 0.3)).max() > 6.0
 
