@@ -12,9 +12,11 @@ seeds and machine-readable output:
 Output is CSV with a fixed header per command (``--json`` switches to
 one JSON object per line with identical field names).  Floats are
 printed with 17 significant digits so round trips are exact and reruns
-are byte-identical.  Exit codes: 0 success, 1 check failure, 2
-usage/domain error, also for an abbreviated flag (spell every flag in full)
-and for ``--tv-atoms`` or ``--tv-fields`` without ``--tv-check``.
+are byte-identical.  Every subcommand writes all its rows (to stdout or
+``--out``) before they are judged; a failed judgement is one stderr line
+and exit 1.  Exit codes: 0 success, 1 check failure, 2 usage/domain
+error, also for an abbreviated flag (spell every flag in full) and for
+``--tv-atoms`` or ``--tv-fields`` without ``--tv-check``.
 """
 
 from __future__ import annotations
@@ -189,37 +191,35 @@ def _check_tol(tol: float) -> None:
         raise ParameterError(f"--tol must be finite and nonnegative, not {fmt(tol)}")
 
 
-def cmd_check_stability(args) -> int:
+# each cmd_ returns (header, rows, failure): failure is the one stderr line
+# of a failed check, or None; main writes the rows and picks the exit code
+def cmd_check_stability(args):
     _check_tol(args.tol)
     family, thinning = _families_from_args(args)
     ns = parse_int_range(args.n)
-    rows = []
-    worst = 0.0
     if thinning is None:
         header = ["n", "residual", "argmax_s"]
-        for n in ns:
-            report = casual_stability_residual(family, n)
-            worst = max(worst, report.sup_residual)
-            rows.append({"n": n, "residual": report.sup_residual, "argmax_s": report.argmax_point})
+        rows = [{"n": n} for n in ns]
+        reports = [casual_stability_residual(family, n) for n in ns]
     else:
         header = ["n", "p", "residual", "argmax_z"]
         ps = [args.p if args.p is not None else solve_pn(family, thinning, n) for n in ns]
-        for n, p, report in zip(ns, ps, discrete_stability_residual(family, thinning, ns, ps)):
-            worst = max(worst, report.sup_residual)
-            rows.append({"n": n, "p": p, "residual": report.sup_residual, "argmax_z": report.argmax_point})
-    emit(header, rows, out=args.out, as_json=args.json)
+        rows = [{"n": n, "p": p} for n, p in zip(ns, ps)]
+        reports = discrete_stability_residual(family, thinning, ns, ps)
+    for row, report in zip(rows, reports):
+        row.update({"residual": report.sup_residual, header[-1]: report.argmax_point})
+    worst = max([0.0, *(row["residual"] for row in rows)])  # from 0.0, so a leading nan is passed over
+    failure = None
     if worst >= args.tol:
-        print(f"stability check failed: worst residual {fmt(worst)} >= tol {fmt(args.tol)}", file=sys.stderr)
-        return 1
-    return 0
+        failure = f"stability check failed: worst residual {fmt(worst)} >= tol {fmt(args.tol)}"
+    return header, rows, failure
 
 
-def cmd_check_pgf(args) -> int:
+def cmd_check_pgf(args):
     _check_tol(args.tol)
     thinning = _build(args, args.thinning, _THINNINGS)
     header = ["p", "min_coeff", "argmin_k", "tol_neg", "norm_defect"]
     rows = []
-    worst_row = None
     for p in parse_float_list(args.p):
         thinning.check_p(p)
         closure = lambda z, _p=p: thinning.thin(_p, z)
@@ -233,17 +233,14 @@ def cmd_check_pgf(args) -> int:
                 "norm_defect": radial_norm_defect(closure),
             }
         )
-        if worst_row is None or table.min_mass < worst_row["min_coeff"]:
-            worst_row = rows[-1]
-    emit(header, rows, out=args.out, as_json=args.json)
-    if worst_row is not None and worst_row["min_coeff"] < -args.tol:
-        print(
-            f"p.g.f. check failed at p={fmt(worst_row['p'])}: min coefficient "
-            f"{fmt(worst_row['min_coeff'])} < -{fmt(args.tol)}",
-            file=sys.stderr,
+    worst = min(rows, key=lambda row: row["min_coeff"])  # the first of equal minima
+    failure = None
+    if worst["min_coeff"] < -args.tol:
+        failure = (
+            f"p.g.f. check failed at p={fmt(worst['p'])}: min coefficient "
+            f"{fmt(worst['min_coeff'])} < -{fmt(args.tol)}"
         )
-        return 1
-    return 0
+    return header, rows, failure
 
 
 def _tv_bound(table, n_fields: int) -> float:
@@ -260,7 +257,7 @@ def _tv_bound(table, n_fields: int) -> float:
     return mean + deviation + table.tol_neg * masses.size
 
 
-def cmd_citations(args) -> int:
+def cmd_citations(args):
     header = [
         "record",
         "replicate",
@@ -282,6 +279,7 @@ def cmd_citations(args) -> int:
             raise ParameterError(f"{flag} must be a positive integer, not {value}")
     family = FieldCitations(args.lam, args.p, args.q)
     rows = []
+    failure = None
     for i in range(args.replicates):
         summary = simulate_field(FieldSim(family, Seed(args.seed, args.stream + i)))
         rows.append(
@@ -308,18 +306,15 @@ def cmd_citations(args) -> int:
         tv = 0.5 * float(np.abs(empirical - table.masses).sum())
         bound = _tv_bound(table, fields)
         rows.append({"record": "tv_check", "tv_distance": tv})
-    emit(header, rows, out=args.out, as_json=args.json)
-    if args.tv_check and tv > bound:
-        print(
-            f"tv check failed: tv_distance {fmt(tv)} > bound {fmt(bound)} "
-            f"(sampling mean, deviation at probability {TV_TAIL_PROBABILITY:.0e}, table certificate)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        if tv > bound:
+            failure = (
+                f"tv check failed: tv_distance {fmt(tv)} > bound {fmt(bound)} "
+                f"(sampling mean, deviation at probability {TV_TAIL_PROBABILITY:.0e}, table certificate)"
+            )
+    return header, rows, failure
 
 
-def cmd_converge(args) -> int:
+def cmd_converge(args):
     target = Gamma(args.b, args.gamma)
     if args.h_kind == "matched":
         h = matched_exponential(target)
@@ -339,19 +334,11 @@ def cmd_converge(args) -> int:
         {"n": n, "condition_b": b_val, "sup_distance": dist}
         for (n, dist), b_val in zip(curve, b_values)
     ]
-    emit(header, rows, out=args.out, as_json=args.json)
-    distances = [dist for _, dist in curve]
-    if len(distances) >= 3:
-        tail = distances[-3:]
-        converged = tail[-1] < 1e-12 or (tail[0] >= tail[1] >= tail[2])
-        if not converged:
-            print(
-                "distance not decreasing over the final three n values: "
-                + ", ".join(fmt(d) for d in tail),
-                file=sys.stderr,
-            )
-            return 1
-    return 0
+    tail = [dist for _, dist in curve][-3:]
+    failure = None
+    if len(tail) == 3 and not (tail[-1] < 1e-12 or tail[0] >= tail[1] >= tail[2]):
+        failure = "distance not decreasing over the final three n values: " + ", ".join(fmt(d) for d in tail)
+    return header, rows, failure
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +466,17 @@ def main(argv=None) -> int:
             argv[1:1] = _config_flags(config.config, parser.subcommand_parsers[argv[0]])
         args = parser.parse_args(argv)
         # looked up at call time, so a replaced cmd_ function is the one called
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        header, rows, failure = globals()["cmd_" + args.command.replace("-", "_")](args)
+        emit(header, rows, out=args.out, as_json=args.json)
     except _USAGE_ERRORS as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except _CHECK_ERRORS as error:
-        print(f"check failed: {error}", file=sys.stderr)
-        return 1
+        failure = f"check failed: {error}"
+    if failure is None:
+        return 0
+    print(failure, file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ class PrecisionError(ArithmeticError):
 
 
 class IterationCapError(RuntimeError):
-    """A sampling loop hit its hard iteration cap."""
+    """A citation draw exceeded the float64 maximum, the value cap of ``samplers.author_citations_rvs``."""
 
 
 class TableError(ValueError):

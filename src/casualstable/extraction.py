@@ -40,7 +40,6 @@ __all__ = [
     "extract_pmf",
     "validate_pgf",
     "radial_norm_defect",
-    "as_pgf_callable",
     "fft_points",
     "DEFAULT_RADIUS",
     "DEFAULT_TOL_NEG",
@@ -100,7 +99,7 @@ class PmfTable:
         return int(self.ks[int(np.argmin(self.masses))])
 
 
-def as_pgf_callable(pgf):
+def _as_pgf_callable(pgf):
     """Accept a p.g.f. family or a bare closure; return a callable on z."""
     if isinstance(pgf, PgfFamily):
         return pgf.pgf
@@ -135,7 +134,7 @@ def extract_pmf(pgf, n_max: int, radius: float = DEFAULT_RADIUS, *, tol: float |
         raise ParameterError("n_max must be >= 1")
     if not 0.0 < radius < 1.0:
         raise ParameterError("radius must lie in (0, 1)")
-    f = as_pgf_callable(pgf)
+    f = _as_pgf_callable(pgf)
     n_points = fft_points(n_max)
     values = np.asarray(f(_circle(n_points, radius)), dtype=complex)
     ks = np.arange(n_max + 1)
@@ -165,7 +164,7 @@ def extract_pmf(pgf, n_max: int, radius: float = DEFAULT_RADIUS, *, tol: float |
 
 def radial_norm_defect(pgf) -> float:
     """|P(1 - 10^-6) - 1|: normalization defect along the radial limit."""
-    f = as_pgf_callable(pgf)
+    f = _as_pgf_callable(pgf)
     return float(abs(f(1.0 - 10.0 ** -6) - 1.0))
 
 

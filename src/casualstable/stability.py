@@ -157,8 +157,9 @@ def solve_pn(family, thinning, n: int) -> float:
     Matched (family, thinning) pairs, as the family reports them in
     ``matched_pairs``, admit the closed form p(n) = n^(-1/exponent); the
     residual checker certifies the choice.  Raises ``UnsupportedError``
-    for an unmatched pair, and ``ParameterError`` when p(n) lands outside
-    the thinning family's domain (m > 1 needs n^(-1/gamma) < kappa).
+    for an unmatched pair, and ``ParameterError`` when p(n) underflows
+    to 0 or a subnormal or lands outside the thinning family's domain
+    (m > 1 needs n^(-1/gamma) < kappa).
     """
     check_n(n)
     if n == 1:
@@ -168,5 +169,7 @@ def solve_pn(family, thinning, n: int) -> float:
     if exponent is None:
         raise UnsupportedError(f"{thinning!r} is not a matched thinning of {family!r}")
     p = float(n) ** (-1.0 / exponent)
+    if p < np.finfo(float).tiny:
+        raise ParameterError(f"p(n) = n^(-1/{exponent:g}) underflows at n = {n}: {p:.3g} is not a normal float64")
     thinning.check_p(p)  # admissibility: raises outside the domain
     return p

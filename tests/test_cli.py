@@ -6,11 +6,12 @@ import os
 import tempfile
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casualstable import FieldCitations, FieldSim, Seed, cli, field_totals, simulate_field
+from casualstable import FieldCitations, FieldSim, PmfTable, Seed, cli, field_totals, simulate_field
 from casualstable.cli import fmt, main, parse_float_list, parse_int_range
 from casualstable.errors import ParameterError
 
@@ -63,6 +64,16 @@ def test_family_without_matched_thinning_exits_two(capsys):
     )
     assert code == 2 and out == ""
     assert "no thinning family is matched" in err
+
+
+def test_underflowing_p_of_n_exits_two_naming_n(capsys):
+    # p(n) = n^(-500): p(4) = 9.3e-302 is a normal float64, 5^(-500) rounds to 0
+    argv = ["check-stability", "--family", "svh", "--alpha", "0.002"]
+    code, out, err = run(argv + ["--n", "4..6"], capsys)
+    assert (code, out) == (2, "")
+    assert "underflows at n = 5" in err
+    code, out, err = run(argv + ["--n", "2..4"], capsys)
+    assert (code, err) == (0, "")
 
 
 def test_ex2_family_default_lies_in_its_domain(capsys):
@@ -560,6 +571,42 @@ def test_converge_mismatched_warns_and_fails(capsys):
 
 
 # ---------------------------------------------------------------------------
+# the one verdict path: rows first, then one failure line and exit 1
+# ---------------------------------------------------------------------------
+
+
+def _one_negative_mass(*args, **kwargs):
+    return PmfTable(np.arange(3), [0.5, -1e-3, 0.5], 0.0)
+
+
+def _wrong_q_totals(cfg, n_fields):
+    return field_totals(FieldSim(FieldCitations(cfg.family.lam, cfg.family.p, 0.55), cfg.seed), n_fields)
+
+
+FAILING_RUNS = {
+    "check-stability": (["check-stability", "--family", "svh", "--alpha", "0.5", "--n", "2..5", "--tol", "1e-18"],
+                        None, None),
+    "check-pgf": (["check-pgf", "--thinning", "bernoulli", "--p", "0.5", "--n-max", "2"],
+                  "extract_pmf", _one_negative_mass),
+    "citations": (TV_POWER_ARGV, "field_totals", _wrong_q_totals),
+    "converge": (["converge", "--h-kind", "mismatched", "--n", "2,4,8"], None, None),
+}
+
+
+@pytest.mark.parametrize("command", FAILING_RUNS)
+def test_failed_check_writes_its_rows_to_out_then_one_failure_line(command, monkeypatch, tmp_path, capsys):
+    argv, name, replacement = FAILING_RUNS[command]
+    if name is not None:
+        monkeypatch.setattr(cli, name, replacement)
+    code, printed, err = run(argv, capsys)
+    assert code == 1 and printed.count("\n") > 1
+    out = tmp_path / "rows.csv"
+    code, stdout, err_with_out = run(argv + ["--out", str(out)], capsys)
+    assert (code, stdout, err_with_out) == (1, "", err)
+    assert out.read_bytes() == printed.encode()
+    assert len([line for line in err.splitlines() if not line.startswith("warning: ")]) == 1
+
+# ---------------------------------------------------------------------------
 # sweep parsing and formatting helpers
 # ---------------------------------------------------------------------------
 
@@ -738,7 +785,7 @@ def _parsed_citations_namespace(argv) -> dict:
 
     def record(args):
         seen.update(vars(args))
-        return 0
+        return [], [], None
 
     with mock.patch.object(cli, "cmd_citations", record):
         assert main(argv) == 0
