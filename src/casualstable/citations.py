@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParameterError
-from .families import AuthorCitations, FieldCitations
+from .errors import InsufficientDataError
+from .families import AuthorCitations, FieldCitations, check_n
 from .samplers import Seed, author_citations_rvs, ex1_rvs, make_rng
 
 __all__ = [
@@ -175,9 +175,7 @@ def field_totals(cfg: FieldSim, n_fields: int) -> np.ndarray:
     The field law is compound Poisson, Poisson(lam) many
     AuthorCitations(p, q) jumps, so the totals are drawn by ``ex1_rvs``.
     """
-    if n_fields < 1:
-        raise ParameterError("n_fields must be >= 1")
-    return ex1_rvs(cfg.family, make_rng(cfg.seed), n_fields)
+    return ex1_rvs(cfg.family, make_rng(cfg.seed), check_n(n_fields, "n_fields"))
 
 
 def tail_exponent(samples) -> float:
@@ -220,8 +218,7 @@ def ranking_instability(cfg: FieldSim, n_replicates: int) -> RankingReport:
     and the expected rank correlation is zero.  The per-replicate
     mean/median ratios document the heavy-tail distortion of the mean.
     """
-    if n_replicates < 2:
-        raise ParameterError("n_replicates must be >= 2")
+    n_replicates = check_n(n_replicates, "n_replicates", 2)
     author = cfg.family.author_law()
     correlations = np.empty(n_replicates)
     ratios = np.empty(2 * n_replicates)

@@ -137,8 +137,7 @@ def convergence_curve(h, family, n_list, s_grid=None, a: float = 2.0) -> list[tu
     s = _check_grid(s_grid)
     ns = []
     for n in n_list:
-        check_n(n)  # before int(n), which would read 2.5 as 2
-        ns.append(int(n))
+        ns.append(check_n(n))
     target = family.laplace(s)
 
     gap = np.abs(np.asarray(h(s)) - target) / s ** a

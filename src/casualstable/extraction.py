@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PrecisionError
-from .families import PgfFamily
+from .families import PgfFamily, check_n
 
 __all__ = [
     "ResidualReport",
@@ -130,8 +130,7 @@ def extract_pmf(pgf, n_max: int, radius: float = DEFAULT_RADIUS, *, tol: float |
     request the table is returned with the bound recorded in
     ``tol_neg``.
     """
-    if n_max < 1:
-        raise ParameterError("n_max must be >= 1")
+    n_max = check_n(n_max, "n_max")
     if not 0.0 < radius < 1.0:
         raise ParameterError("radius must lie in (0, 1)")
     f = _as_pgf_callable(pgf)

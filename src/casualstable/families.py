@@ -49,9 +49,13 @@ Numerical form
     All fractional powers, logarithms and inverse trigonometric
     functions use principal branches.  Complex arguments are supported
     everywhere (needed for coefficient extraction on circles inside the
-    unit disk); the Example2 kernel uses the principal-branch identity
-    arccos(1-d) = 2 arcsin(sqrt(d/2)), which is stable for small d and
-    agrees with the direct arccos to machine precision on the disk.
+    unit disk).  The Chebyshev kernels rest on A(z) = (1 - k u)/(1 + k u),
+    k = (1+b)/(1-b): the half angle phi = arccos(A(z))/2 = arctan(sqrt(k u)),
+    and T_p multiplies it by p, so 1 - Q_p(z) = tan^2(p phi)/k, with no
+    cancellation near z = 1 or b = 1.  On the closed disk Re u >= 0, so
+    the principal sqrt keeps |arg| <= pi/4, clear of arctan's cuts (the
+    imaginary axis beyond +-i), and 2 arctan has real part in [0, pi),
+    the principal range of arccos: the two agree.
     Fractional powers of complex arguments are taken in polar form,
     |x|^a (cos(a arg x) + i sin(a arg x)), from real transcendental
     functions only (``_power``); powers of real arguments go to
@@ -87,14 +91,16 @@ __all__ = [
 ]
 
 
-def check_n(n: int, name: str = "n") -> None:
+def check_n(n: int, name: str = "n", lo: int = 1) -> int:
+    """Return n as an int; raise unless it is an integer >= lo (2.5 is refused, never read as 2)."""
     # inf % 1 and nan % 1 are nan, so both fail without int(n) raising
     try:
-        count = n >= 1 and n % 1 == 0
+        count = n >= lo and n % 1 == 0
     except TypeError:  # not a number, such as the text '3'
         count = False
     if not count:  # the message is formatted only on failure
-        raise ParameterError(f"{name} must be an integer >= 1")
+        raise ParameterError(f"{name} must be an integer >= {lo}")
+    return int(n)
 
 
 def check_kind(obj, kind: type, noun: str) -> None:
@@ -137,8 +143,7 @@ class _Family:
         for name, domain in self.domains.items():
             value = getattr(self, name)
             if fields[name].type == "int":
-                check_n(value, name)
-                value = int(value)
+                value = check_n(value, name)
             else:
                 value = float(value)
                 if not math.isfinite(value):
@@ -264,15 +269,9 @@ class Example1(CompoundPoisson):
         return self.gamma, 1.0 - self.kappa, self.kappa, self.m
 
 
-def _chebyshev_angle(b: float, u):
-    """theta = arccos A(z) from u = 1 - z, A(z) = ((1+b)z - 2b)/(2 - (1+b)z).
-
-    1 - A(z) = 2(1+b)u / ((1-b) + (1+b)u), whose denominator is
-    2 - (1+b)z and never vanishes on the closed unit disk; the principal
-    arccos(1 - d) is taken as 2 arcsin(sqrt(d/2)), stable for d ~ 0.
-    """
-    d = 2.0 * (1.0 + b) * u / ((1.0 - b) + (1.0 + b) * u)
-    return 2.0 * np.arcsin(np.sqrt(0.5 * d))
+def _half_angle(b: float, u):
+    """phi = arctan(sqrt(k u)) with k = (1+b)/(1-b): half of theta = arccos A(z), u = 1 - z."""
+    return np.arctan(np.sqrt((1.0 + b) / (1.0 - b) * u))
 
 
 @dataclass(frozen=True)
@@ -292,8 +291,7 @@ class Example2(PgfFamily):
         return ((Example2Thin(self.b), self.gamma),)
 
     def pgf_from_complement(self, u):
-        theta = _chebyshev_angle(self.b, u)
-        return np.exp(-self.lam * _power(theta, self.gamma))
+        return np.exp(-self.lam * _power(2.0 * _half_angle(self.b, u), self.gamma))
 
 
 @dataclass(frozen=True)
@@ -451,7 +449,8 @@ class Example2Thin(ThinningFamily):
 
     A(z) = ((1+b)z - 2b)/(2 - (1+b)z), T_p(x) = cos(p arccos x).
     A conjugates Q_p to T_p on [-1, 1], so compositions multiply the
-    parameters: Q_p1 o Q_p2 = Q_(p1 p2).
+    parameters: Q_p1 o Q_p2 = Q_(p1 p2).  T_p multiplies the half angle
+    phi = arctan(sqrt(k u)) by p: 1 - Q_p(z) = tan^2(p phi)/k, k = (1+b)/(1-b).
     """
 
     b: float
@@ -459,17 +458,11 @@ class Example2Thin(ThinningFamily):
 
     def complement_map(self, p: float, u):
         self.check_p(p)
-        theta = _chebyshev_angle(self.b, u)
-        # 1 - T_p(A(z)) = 2 sin^2(p theta / 2), then pull back through
-        # 1 - A^(-1)(w) = (1-b)(1-w) / ((1+b)(1+w))
-        one_minus_t = 2.0 * np.square(np.sin(0.5 * p * theta))
-        return (1.0 - self.b) * one_minus_t / (
-            (1.0 + self.b) * (2.0 - one_minus_t)
-        )
+        return np.square(np.tan(p * _half_angle(self.b, u))) * ((1.0 - self.b) / (1.0 + self.b))
 
     def coordinate(self, u):
-        """theta = arccos A(z)."""
-        return _chebyshev_angle(self.b, u)
+        """theta = arccos A(z) = 2 phi."""
+        return 2.0 * _half_angle(self.b, u)
 
     def thin(self, p: float, z):
         return 1.0 - self.complement_map(p, _complement(z))

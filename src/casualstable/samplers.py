@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedError,
 )
 from .extraction import PmfTable
-from .families import AuthorCitations, CompoundPoisson, Sibuya, TemperedStable
+from .families import AuthorCitations, CompoundPoisson, Sibuya, TemperedStable, check_n
 
 __all__ = [
     "Seed",
@@ -94,8 +94,7 @@ def thin_general(x: int, law: PmfTable, rng: np.random.Generator) -> tuple[int, 
     residual ``mass_deficit`` is assigned to the largest tabulated atom,
     and the second value returned counts how often that bucket was used.
     """
-    if x < 0:
-        raise ParameterError("x must be nonnegative")
+    x = check_n(x, "x", 0)
     if law.mass_deficit > _MAX_TABLE_DEFICIT:
         raise TableError(
             f"mass_deficit {law.mass_deficit:.3e} exceeds {_MAX_TABLE_DEFICIT:.0e}; "
@@ -189,8 +188,7 @@ def author_citations_rvs(family: AuthorCitations, rng: np.random.Generator, size
     (~ (q F)^(-p)/Gamma(1-p), 4e-16 at p = 0.05) raises ``IterationCapError``.
     """
     p, q = family.p, family.q
-    if size < 0:
-        raise ParameterError("size must be nonnegative")
+    size = check_n(size, "size", 0)
     w = np.ones(size) if p == 1.0 else _beta(rng, p, 1.0 - p, size)
     e = rng.standard_exponential(size)
     # in place: e becomes floor(E / rate) with rate = -log(1 - qW); qW = 1
@@ -234,7 +232,7 @@ def ex1_rvs(family: CompoundPoisson, rng: np.random.Generator, size: int) -> np.
     ``family.jump()``; float64 totals when a jump exceeds 2^61.
     """
     gamma, q, _, m = family.jump()
-    counts = rng.poisson(family.lam, size)
+    counts = rng.poisson(family.lam, check_n(size, "size", 0))
     jumps = author_citations_rvs(AuthorCitations(gamma, q), rng, int(counts.sum()))
     return m * _segment_sums(jumps, counts)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError, UnsupportedError
 from .extraction import ResidualReport
-from .families import LaplaceFamily, PgfFamily, ThinningFamily, check_kind, check_n
+from .families import LaplaceFamily, PgfFamily, ThinningFamily, _Interval, check_kind, check_n
 
 __all__ = [
     "default_z_grid",
@@ -38,6 +38,7 @@ Z_GRID_POINTS = 2001
 Z_GRID_TOP = 1.0 - 1e-6
 S_GRID_POINTS = 200
 S_GRID_DECADES = (-3.0, 3.0)
+_Z_DOMAIN = _Interval(-1, 1, "[]", ", the real points of the closed unit disk")
 
 
 def default_z_grid() -> np.ndarray:
@@ -60,6 +61,14 @@ def _grid(grid, default, name: str) -> np.ndarray:
     return points
 
 
+def _z_grid(z_grid) -> np.ndarray:
+    """The given z grid (``default_z_grid()`` when None), refused outside [-1, 1]."""
+    z = _grid(z_grid, default_z_grid, "z")
+    for end in (z.min(), z.max()):
+        _Z_DOMAIN.check("z grid point", end)
+    return z
+
+
 def _sup_report(residuals: np.ndarray, grid: np.ndarray, spec: str) -> ResidualReport:
     worst = int(np.argmax(residuals))
     return ResidualReport(
@@ -75,6 +84,8 @@ def discrete_stability_residual(family, thinning, n, p, z_grid=None):
     Scalar n and p give one report.  Equal-length sequences n and p give
     a list with one report per (n, p) pair; the grid and the left side
     P(z), which does not depend on n, are evaluated once for the sweep.
+    A pair whose 1 - Q_p(z) is 0 or subnormal where z < 1 is refused:
+    P(Q_p(z)) would read as P(1), and the residual show the underflow.
     """
     check_kind(family, PgfFamily, "p.g.f.")
     check_kind(thinning, ThinningFamily, "thinning")
@@ -85,18 +96,18 @@ def discrete_stability_residual(family, thinning, n, p, z_grid=None):
     for n_k, p_k in pairs:  # every pair, before any evaluation
         check_n(n_k)
         thinning.check_p(p_k)
-    z = _grid(z_grid, default_z_grid, "z")
+    z = _z_grid(z_grid)
     u = 1.0 - z
+    inside, tiny = u > 0.0, np.finfo(float).tiny
     lhs = family.pgf_from_complement(u)
     spec = f"z grid {z.size} points on [{z.min():g}, {z.max():g}], complement-form evaluation"
-    reports = [
-        _sup_report(
-            np.abs(lhs - family.pgf_from_complement(thinning.complement_map(p_k, u)) ** n_k),
-            z,
-            f"{spec}, n={n_k}, p={float(p_k)!r}",
-        )
-        for n_k, p_k in pairs
-    ]
+    reports = []
+    for n_k, p_k in pairs:
+        thinned = thinning.complement_map(p_k, u)
+        if np.any(inside & (np.abs(thinned) < tiny)):
+            raise ParameterError(f"1 - Q_p(z) underflows at n = {n_k}, p = {float(p_k)!r}: 0 or subnormal where z < 1")
+        residual = np.abs(lhs - family.pgf_from_complement(thinned) ** n_k)
+        reports.append(_sup_report(residual, z, f"{spec}, n={n_k}, p={float(p_k)!r}"))
     return reports if sweep else reports[0]
 
 
@@ -118,7 +129,7 @@ def casual_stability_residual(family, n: int, s_grid=None) -> ResidualReport:
 def commutativity_residual(thinning, p1: float, p2: float, z_grid=None) -> ResidualReport:
     """sup_z |Q_p1(Q_p2(z)) - Q_p2(Q_p1(z))|: semigroup commutativity."""
     check_kind(thinning, ThinningFamily, "thinning")
-    z = _grid(z_grid, default_z_grid, "z")
+    z = _z_grid(z_grid)
     u = 1.0 - z
     forward = thinning.complement_map(p1, thinning.complement_map(p2, u))
     backward = thinning.complement_map(p2, thinning.complement_map(p1, u))
@@ -139,7 +150,7 @@ def compose_thinning(thinning, p1: float, p2: float, z_grid=None) -> tuple[float
     shows up as a residual above tolerance rather than an error.
     """
     check_kind(thinning, ThinningFamily, "thinning")
-    z = _grid(z_grid, default_z_grid, "z")
+    z = _z_grid(z_grid)
     u = 1.0 - z
     target = thinning.complement_map(p1, thinning.complement_map(p2, u))
     base = thinning.coordinate(u)

@@ -2,16 +2,29 @@
 schema, sweep parsing, and config merging."""
 
 import json
+import math
 import os
 import tempfile
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from casualstable import FieldCitations, FieldSim, PmfTable, Seed, cli, field_totals, simulate_field
+from casualstable import (
+    Example1,
+    Example2,
+    FieldCitations,
+    FieldSim,
+    PmfTable,
+    Seed,
+    SvhStable,
+    cli,
+    default_z_grid,
+    field_totals,
+    simulate_field,
+)
 from casualstable.cli import fmt, main, parse_float_list, parse_int_range
 from casualstable.errors import ParameterError
 
@@ -74,6 +87,60 @@ def test_underflowing_p_of_n_exits_two_naming_n(capsys):
     assert "underflows at n = 5" in err
     code, out, err = run(argv + ["--n", "2..4"], capsys)
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["--family", "ex2", "--gamma", "0.01", "--n", "20..100:20"], 40),
+        (["--family", "ex2", "--gamma", "0.01", "--b", "-0.9", "--n", "2..40:9"], 38),
+        (["--family", "svh", "--alpha", "0.01", "--n", "1000..1100:20"], 1040),
+    ],
+)
+def test_underflowing_thinned_complement_exits_two_naming_n(argv, n, capsys):
+    # p(n) is normal, 1 - Q_p(z) is not: a refusal, not a failed identity
+    code, out, err = run(["check-stability", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert f"underflows at n = {n}, p = " in err
+
+
+# each matched family: its flags, the top of its exponent interval, and
+# the same family from (exponent, b)
+EXPONENT_FAMILIES = {
+    "svh": (["--family", "svh", "--alpha"], 1.0, lambda a, b: SvhStable(1.0, a)),
+    "ex1": (["--family", "ex1", "--kappa", "0.5", "--gamma"], 1.0, lambda a, b: Example1(1.0, a, 0.5)),
+    "ex1_m2": (["--family", "ex1", "--kappa", "0.5", "--m", "2", "--gamma"], 1.0,
+               lambda a, b: Example1(1.0, a, 0.5, 2)),
+    "ex2": (["--family", "ex2", "--gamma"], 2.0, lambda a, b: Example2(1.0, a, b)),
+}
+
+
+def log_uniform(lo, top):
+    """Log-uniform on [lo, top]."""
+    return st.floats(math.log(lo), math.log(top)).map(lambda x: min(max(math.exp(x), lo), top))
+
+
+@pytest.mark.parametrize("family", EXPONENT_FAMILIES)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.integers(2, 200), b=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+def test_stability_verdict_is_never_false_over_the_exponent_interval(family, data, n, b, capsys):
+    # run reads capsys after every call, so no output leaks between examples
+    flags, top, build = EXPONENT_FAMILIES[family]
+    # the whole (0, top] from the smallest positive float, and as often the
+    # part where p(n) = n^(-1/exponent) is a normal float64 (below it every n is refused)
+    exponent = data.draw(st.one_of(log_uniform(5e-324, top), log_uniform(math.log(n) / 708, top)))
+    argv = ["check-stability", *flags, repr(exponent), "--n", str(n)]
+    if family == "ex2":
+        argv.append(f"--b={b!r}")
+    code, out, err = run(argv, capsys)
+    assert code in (0, 2), err
+    # negative control: 0.99 p(n) scales x = -log P(z) by c = 0.99^exponent, so the
+    # residual is at least max P x (1 - c); where that clears the tolerance, exit 1
+    if code == 0:
+        x = -np.log(build(exponent, b).pgf(default_z_grid()))
+        if np.max(np.exp(-x) * x) * (1.0 - 0.99 ** exponent) > 1e-9:
+            p = float(out.splitlines()[1].split(",")[1])
+            assert run(argv + ["--p", repr(0.99 * p)], capsys)[0] == 1
 
 
 def test_ex2_family_default_lies_in_its_domain(capsys):
@@ -331,6 +398,13 @@ def test_check_pgf_example2_sweep_passes(capsys):
     )
     assert code == 0
     assert len(out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("b", ["0.5", "0.99"])
+def test_check_pgf_example2_identity_passes(b, capsys):
+    # Q_1(z) = z: every coefficient but c_1 = 1 is 0
+    code, out, err = run(["check-pgf", "--thinning", "ex2", "--b", b, "--p", "1.0"], capsys)
+    assert (code, err) == (0, "")
 
 
 def test_check_pgf_inadmissible_parameter_exits_two(capsys):

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casualstable import extraction, families
+from casualstable import citations, extraction, families, samplers
 from casualstable import (
+    FieldSim,
+    PmfTable,
+    Seed,
     AuthorCitations,
     Bernoulli,
     Example1,
@@ -135,6 +138,30 @@ def test_kind_guard_sees_a_class_outside_its_kind():
 def test_check_n_refuses_every_non_count(n):
     with pytest.raises(ParameterError, match="integer >= 1"):
         families.check_n(n)
+
+
+# every count argument outside the families goes through check_n
+COUNT_CALLS = {
+    "extract_pmf": lambda n: extraction.extract_pmf(Sibuya(0.5), n),
+    "validate_pgf": lambda n: extraction.validate_pgf(Sibuya(0.5), n),
+    "thin_general": lambda n: samplers.thin_general(n, PmfTable([0, 1], [0.5, 0.5], 0.0), np.random.default_rng(0)),
+    "author_citations_rvs": lambda n: samplers.author_citations_rvs(AuthorCitations(0.5, 0.5), np.random.default_rng(0), n),
+    "ex1_rvs": lambda n: samplers.ex1_rvs(SvhStable(1.0, 0.5), np.random.default_rng(0), n),
+    "field_totals": lambda n: citations.field_totals(FieldSim(FieldCitations(1.0, 0.5, 0.5), Seed(1)), n),
+    "ranking_instability": lambda n: citations.ranking_instability(FieldSim(FieldCitations(5.0, 0.5, 0.5), Seed(1)), n),
+}
+
+
+@pytest.mark.parametrize("n", [2.5, float("nan"), float("inf"), -1, "3"])
+@pytest.mark.parametrize("call", COUNT_CALLS)
+def test_every_count_argument_refuses_a_non_count(call, n):
+    with pytest.raises(ParameterError, match="must be an integer >= "):
+        COUNT_CALLS[call](n)
+
+
+@pytest.mark.parametrize("call", COUNT_CALLS)
+def test_every_count_argument_takes_an_integral_float(call):
+    COUNT_CALLS[call](3.0)  # read as 3, as the integer itself is
 
 
 @pytest.mark.parametrize("m", [2.5, float("nan"), float("inf"), 0])
@@ -314,6 +341,14 @@ def test_example2_thin_literal():
 def test_thin_at_p_one_is_identity():
     for thin in [Bernoulli(), Example1Thin(0.5, 1), Example2Thin(-0.3)]:
         assert np.allclose(thin.thin(1.0, Z), Z, atol=1e-14)
+
+
+@pytest.mark.parametrize("b", [-0.999, -0.5, 0.0, 0.5, 0.99, 0.999])
+def test_chebyshev_map_at_p_one_is_the_identity(b):
+    circle = 0.9 * np.exp(2j * np.pi * np.arange(1 << 16) / (1 << 16))
+    for z in (circle, default_z_grid()):
+        u = 1.0 - z
+        assert np.abs(Example2Thin(b).complement_map(1.0, u) - u).max() <= 1e-13
 
 
 def test_thin_fixes_z_one():

@@ -24,6 +24,7 @@ from casualstable import (
     Example1,
     Example1Thin,
     Example2,
+    Example2Thin,
     FieldCitations,
     Sibuya,
     SvhStable,
@@ -196,6 +197,26 @@ def test_kernel_matches_mpmath(kernel_id, points):
 @pytest.mark.parametrize("kernel_id", SIGNED_ZERO_KERNELS)
 def test_kernel_matches_mpmath_on_the_cut(kernel_id):
     assert _kernel_ulps(kernel_id, CUT_U) <= ULPS
+
+
+def _theta_ulps(thinning, b, us) -> float:
+    worst = 0.0
+    for v, u in zip(thinning.coordinate(us), us):
+        ref = _ex2_theta(b, _mpc(u))
+        worst = max(worst, float(abs(_mpc(v) - ref) / abs(ref)) / EPS)
+    return worst
+
+
+@pytest.mark.parametrize("points", ["circle", "near_one"])
+@pytest.mark.parametrize("b", [-0.999, -0.5, 0.0, 0.5, 0.99, 0.999])
+def test_chebyshev_coordinate_is_the_principal_arccos(b, points):
+    # 2 arctan(sqrt(k u)), k = (1+b)/(1-b), against acos(A(z)) itself
+    assert _theta_ulps(Example2Thin(b), b, POINT_SETS[points]) <= ULPS
+
+
+def test_perturbed_b_fails_the_coordinate_check():
+    # negative control: the checker sees a coordinate built for b + 1e-6
+    assert _theta_ulps(Example2Thin(0.5 + 1e-6), 0.5, POINT_SETS["circle"]) > 1e6
 
 
 def test_wrong_branch_fails_the_kernel_check(monkeypatch):

@@ -130,6 +130,21 @@ def test_solve_pn_fallback_recovers_disguised_match():
     assert discrete_stability_residual(family, Bernoulli(), 4, p).sup_residual < 1e-9
 
 
+@pytest.mark.parametrize(
+    "family, thinning, n",
+    [(Example2(1.0, 0.01, 0.0), Example2Thin(0.0), 40), (SvhStable(1.0, 0.01), Bernoulli(), 1100)],
+    ids=["ex2", "svh"],
+)
+def test_underflowing_thinned_complement_is_refused(family, thinning, n):
+    # p(n) is a normal float64, but 1 - Q_p(z) is subnormal somewhere on the
+    # grid, where P(Q_p(z)) would read as P(1) = 1
+    p = solve_pn(family, thinning, n)
+    with pytest.raises(ParameterError, match=f"underflows at n = {n}, p = {p!r}"):
+        discrete_stability_residual(family, thinning, n, p)
+    with pytest.raises(ParameterError, match=f"underflows at n = {n}"):  # in a sweep as well
+        discrete_stability_residual(family, thinning, [2, n], [solve_pn(family, thinning, 2), p])
+
+
 def test_perturbed_pn_lifts_residual():
     # negative control: the certificate must not pass vacuously
     family = SvhStable(1.0, 0.5)
@@ -365,3 +380,19 @@ def test_empty_grid_is_refused(call):
     for grid in ([], [float("nan"), 0.5]):
         with pytest.raises(ParameterError, match="grid must be nonempty and finite"):
             call(grid)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda grid: discrete_stability_residual(SvhStable(1.0, 0.5), Bernoulli(), 2, 0.5, grid),
+        lambda grid: commutativity_residual(Bernoulli(), 0.5, 0.5, grid),
+        lambda grid: compose_thinning(Bernoulli(), 0.5, 0.5, grid),
+    ],
+    ids=["discrete", "commutativity", "compose"],
+)
+def test_z_grid_outside_the_unit_interval_is_refused_by_name(call):
+    for grid in ([0.0, 1.5], [-1.0 - 1e-15, 0.5]):
+        with pytest.raises(ParameterError, match=r"z grid point must lie in \[-1, 1\]"):
+            call(grid)
+    call([-1.0, 0.0, 1.0])  # both ends belong to the domain
