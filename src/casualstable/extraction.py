@@ -16,12 +16,26 @@ r < 1.  The error has two certified parts:
 The recorded ``tol_neg`` is the sum of both parts (floored at 1e-9) and
 certifies the claim "every true coefficient is >= extracted - tol_neg";
 a genuine negative mass therefore shows up as a coefficient below
--tol_neg, which is how p.g.f. validity is tested.
+-tol_neg, which is how p.g.f. validity is tested.  A requested ``tol``
+that the bound exceeds is refused naming the part that dominates: the
+rounding part falls as r rises or n_max falls, the aliasing part falls
+as r falls or n_max rises.
 
 The sample points r e^(2 pi i j/N) depend only on (N, r), so each circle
 is built once and cached as a read-only array: every table of the same
 size and radius shares it, and a closure that writes into its argument
 raises instead of corrupting the next table.
+
+The p.g.f. is evaluated on N // 2^14 contiguous blocks of the circle,
+each written into its slice of one values buffer, which the FFT then
+transforms in place.  A table allocates no whole-circle temporary, so
+the kernel's temporaries stay small and are reused from block to block
+instead of being faulted in afresh for every table.  The blocks hold at
+least 2^14 points because numpy elides a temporary of 256 KiB or more
+(``u * t`` runs as the in-place ``t *= u``), and the in-place complex
+multiply rounds differently: a 2^14-point complex block is exactly
+256 KiB, so each complex temporary elides on a block just as it does on
+the whole circle and the table is bitwise the same.
 """
 
 from __future__ import annotations
@@ -48,6 +62,12 @@ __all__ = [
 DEFAULT_RADIUS = 0.9
 DEFAULT_TOL_NEG = 1e-9
 _ROUNDING_SAFETY = 2.0
+# the smallest block whose complex temporaries numpy elides (module docstring)
+_BLOCK_POINTS = 1 << 14
+# 8 * 2^23 points make a 1 GiB complex circle, and a table holds the
+# circle and its values buffer at once (2 GiB at the cap); a deeper
+# request is refused before anything is allocated
+_MAX_N_MAX = 1 << 23
 
 
 @dataclass
@@ -111,6 +131,8 @@ def _as_pgf_callable(pgf):
 def fft_points(n_max: int) -> int:
     # the k = n_max rounding floor eps M/(sqrt(N) r^k) is the budget
     # driver: N = 65536 keeps it near 1e-9 at radius 0.9, n_max = 200
+    if n_max > _MAX_N_MAX:
+        raise ParameterError(f"n_max must be at most 2^23 = {_MAX_N_MAX}, not {n_max}")
     return max(1 << 16, 8 * n_max)
 
 
@@ -124,9 +146,12 @@ def _circle(n_points: int, radius: float) -> np.ndarray:
 def extract_pmf(pgf, n_max: int, radius: float = DEFAULT_RADIUS, *, tol: float | None = None) -> PmfTable:
     """Extract atoms 0..n_max of a p.g.f. by DFT on the circle |z| = radius.
 
-    ``tol`` is an optional precision request: when given, a
-    ``PrecisionError`` is raised if the certified bound exceeds it
-    (reduce the radius or raise n_max to tighten the bound).  Without a
+    ``pgf`` is called once per block of the circle (module docstring)
+    and must return one value per point of its block.  ``n_max`` may be
+    at most 2^23.  ``tol`` is an optional precision request: when given,
+    a ``PrecisionError`` is raised if the certified bound exceeds it,
+    naming the larger part: rounding shrinks as the radius rises or
+    n_max falls, aliasing as the radius falls or n_max rises.  Without a
     request the table is returned with the bound recorded in
     ``tol_neg``.
     """
@@ -135,11 +160,17 @@ def extract_pmf(pgf, n_max: int, radius: float = DEFAULT_RADIUS, *, tol: float |
         raise ParameterError("radius must lie in (0, 1)")
     f = _as_pgf_callable(pgf)
     n_points = fft_points(n_max)
-    values = np.asarray(f(_circle(n_points, radius)), dtype=complex)
-    ks = np.arange(n_max + 1)
-    coeffs = np.fft.fft(values).real[: n_max + 1] / n_points / radius ** ks
-
+    values = np.empty(n_points, dtype=complex)
+    blocks = n_points // _BLOCK_POINTS
+    for z, out in zip(np.array_split(_circle(n_points, radius), blocks), np.array_split(values, blocks)):
+        block = f(z)
+        if np.shape(block) != z.shape:
+            raise ParameterError(f"the p.g.f. returned shape {np.shape(block)} on a block of {z.size} points")
+        out[...] = block
     peak = float(np.abs(values).max())
+    ks = np.arange(n_max + 1)
+    coeffs = np.fft.fft(values, out=values).real[: n_max + 1] / n_points / radius ** ks
+
     alias_bound = peak * radius ** n_max / (1.0 - radius ** n_max)
     rounding_bound = (
         _ROUNDING_SAFETY * np.finfo(float).eps * peak
@@ -147,10 +178,15 @@ def extract_pmf(pgf, n_max: int, radius: float = DEFAULT_RADIUS, *, tol: float |
     )
     certified = alias_bound + rounding_bound
     if tol is not None and certified > tol:
+        if rounding_bound >= alias_bound:
+            detail = (f"rounding part {rounding_bound:.3e} dominates (aliasing {alias_bound:.3e}); "
+                      "raise the radius or lower n_max")
+        else:
+            detail = (f"aliasing part {alias_bound:.3e} dominates (rounding {rounding_bound:.3e}); "
+                      "lower the radius or raise n_max")
         raise PrecisionError(
             f"certified extraction bound {certified:.3e} exceeds requested "
-            f"tolerance {tol:.3e} (radius={radius}, n_max={n_max}); reduce "
-            "the radius or raise n_max"
+            f"tolerance {tol:.3e} (radius={radius}, n_max={n_max}): its {detail}"
         )
     deficit = float(np.clip(1.0 - coeffs.sum(), 0.0, 1.0))
     return PmfTable(

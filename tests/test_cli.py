@@ -416,6 +416,19 @@ def test_check_pgf_inadmissible_parameter_exits_two(capsys):
     assert "kappa" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-pgf", "--thinning", "bernoulli", "--p", "0.5", "--n-max", "100000000000"],
+    ["citations", "--lambda", "1", "--replicates", "1", "--tv-check", "--tv-fields", "1000",
+     "--tv-atoms", "100000000000"],
+], ids=["check-pgf", "citations"])
+def test_huge_table_depth_exits_two_before_allocating(argv, capsys):
+    # the extraction circle would hold 8e11 points; refused by its cap, not by a MemoryError
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: n_max must be at most 2^23")
+
+
 # ---------------------------------------------------------------------------
 # citations
 # ---------------------------------------------------------------------------
@@ -523,6 +536,7 @@ def test_citations_tv_check_enforces_its_certificate(capsys):
     assert code == 1
     assert out == ""
     assert "certified extraction bound" in err
+    assert "rounding part" in err and "lower n_max" in err
     code, out, err = run(argv + ["--tv-atoms", "200"], capsys)
     assert code == 0
     assert out.splitlines()[-1].startswith("tv_check,")

@@ -11,8 +11,12 @@ import pytest
 from scipy.special import gammaln
 
 from casualstable import (
+    AuthorCitations,
+    Bernoulli,
     Example1,
+    Example1Thin,
     Example2,
+    Example2Thin,
     FieldCitations,
     Geometric,
     ParameterError,
@@ -22,9 +26,11 @@ from casualstable import (
     Sibuya,
     SvhStable,
     extract_pmf,
+    fft_points,
     radial_norm_defect,
     validate_pgf,
 )
+from casualstable import extraction
 
 # mpmath taylor(exp(-lam*(1-z)**alpha), 0, ...) at dps=60
 SVH_1_05 = [0.36787944117144232, 0.18393972058572116, 0.09196986029286058,
@@ -207,3 +213,116 @@ def test_radial_norm_defect():
     assert radial_norm_defect(Geometric(0.5)) < 1e-5
     # a defective "pgf" that does not reach 1 at z = 1
     assert radial_norm_defect(lambda z: 0.9 * Geometric(0.5).pgf(z)) > 0.09
+
+
+@pytest.mark.parametrize("n_max, part, advice, better", [
+    (400, "rounding part", "raise the radius or lower n_max", 0.95),
+    (20, "aliasing part", "lower the radius or raise n_max", 0.5),
+])
+def test_precision_error_names_the_part_that_dominates(n_max, part, advice, better):
+    # Geometric(0.5) at radius 0.9: the bound is 11.4 at n_max 400, all
+    # of it rounding, and 0.11 at n_max 20, all of it aliasing
+    with pytest.raises(PrecisionError, match=f"its {part} .* dominates .*; {advice}$"):
+        extract_pmf(Geometric(0.5), n_max, tol=1e-12)
+    # the advice is right: the radius it points to tightens the bound
+    table = extract_pmf(Geometric(0.5), n_max)
+    assert extract_pmf(Geometric(0.5), n_max, radius=better).tol_neg < table.tol_neg / 100
+
+
+@pytest.mark.parametrize("n_max", [2 ** 62, 10 ** 18, 10 ** 11])
+def test_huge_n_max_is_refused_by_name(n_max):
+    for call in (fft_points, lambda n: extract_pmf(Sibuya(0.5), n), lambda n: validate_pgf(Sibuya(0.5), n)):
+        with pytest.raises(ParameterError, match=f"n_max must be at most 2\\^23 = 8388608, not {n_max}"):
+            call(n_max)
+
+
+def test_n_max_cap_is_exact():
+    # through fft_points only, which allocates nothing: a table at the cap holds 2 GiB
+    assert fft_points(2 ** 23) == 2 ** 26
+    with pytest.raises(ParameterError, match="n_max must be at most"):
+        fft_points(2 ** 23 + 1)
+
+
+# every class of p.g.f. the library extracts, on the whole circle and in blocks
+_BLOCKED_CASES = {
+    "svh": SvhStable(1.0, 0.5),
+    "ex1-m1": Example1(1.0, 0.7, 0.3, 1),
+    "ex1-m2": Example1(1.3, 0.6, 0.3, 2),
+    "ex2": Example2(1.0, 1.0, 0.2),
+    "geometric": Geometric(0.5),
+    "sibuya": Sibuya(0.5),
+    "author": AuthorCitations(0.5, 0.5),
+    "field": FieldCitations(1.0, 0.5, 0.5),
+    "bernoulli": lambda z: Bernoulli().thin(0.3, z),
+    "ex1thin-m1": lambda z: Example1Thin(0.6, 1).thin(0.4, z),
+    "ex1thin-m2": lambda z: Example1Thin(0.6, 2).thin(0.4, z),
+    "ex2thin-0.5": lambda z: Example2Thin(0.5).thin(0.3, z),
+    "ex2thin-m0.5": lambda z: Example2Thin(-0.5).thin(0.3, z),
+    "ex2thin-0.999": lambda z: Example2Thin(0.999).thin(0.5, z),
+    "closure": lambda z: np.exp(-((1.0 - z) ** 2)),
+}
+
+
+def _whole_circle(n_max, radius):
+    n_points = fft_points(n_max)
+    return radius * np.exp(2j * np.pi * np.arange(n_points) / n_points)
+
+
+def _whole_circle_table(pgf, n_max, radius=0.9):
+    """Masses and tol_neg from one evaluation on the whole circle and one FFT."""
+    f = pgf.pgf if hasattr(pgf, "pgf") else pgf
+    n_points = fft_points(n_max)
+    values = np.asarray(f(_whole_circle(n_max, radius)), dtype=complex)
+    masses = np.fft.fft(values).real[: n_max + 1] / n_points / radius ** np.arange(n_max + 1)
+    peak = float(np.abs(values).max())
+    alias = peak * radius ** n_max / (1.0 - radius ** n_max)
+    rounding = 2.0 * np.finfo(float).eps * peak * np.sqrt(np.log2(n_points) / n_points) / radius ** n_max
+    return masses, max(alias + rounding, 1e-9)
+
+
+# 80,008 points at n_max 10,001 is not a multiple of 2^14; 0.9^10001
+# underflows, so that depth is extracted on a radius near 1
+_DEPTHS = [(200, 0.9), (10_001, 0.999)]
+
+
+@pytest.mark.parametrize("n_max, radius", _DEPTHS)
+@pytest.mark.parametrize("name", list(_BLOCKED_CASES))
+def test_blocked_extraction_is_bitwise_the_whole_circle(name, n_max, radius):
+    masses, tol_neg = _whole_circle_table(_BLOCKED_CASES[name], n_max, radius)
+    table = extract_pmf(_BLOCKED_CASES[name], n_max, radius)
+    assert np.array_equal(table.masses, masses)
+    assert table.tol_neg == tol_neg
+
+
+def test_blocks_below_the_elision_size_change_the_table(monkeypatch):
+    # negative control: 2^13-point complex temporaries (128 KiB) are not
+    # elided, so the kernel rounds differently than on the whole circle
+    family = Example1(1.3, 0.6, 0.3, 2)
+    masses, _ = _whole_circle_table(family, 200)
+    monkeypatch.setattr(extraction, "_BLOCK_POINTS", 1 << 13)
+    assert not np.array_equal(extract_pmf(family, 200).masses, masses)
+
+
+@pytest.mark.parametrize("n_max, radius", _DEPTHS)
+def test_pgf_sees_read_only_blocks_covering_the_circle(n_max, radius):
+    seen = []
+
+    def recorder(z):
+        seen.append(z)
+        return Sibuya(0.5).pgf(z)
+
+    extract_pmf(recorder, n_max, radius)
+    assert all(z.size >= 1 << 14 and not z.flags.writeable for z in seen)
+    assert sum(z.size for z in seen) == fft_points(n_max)
+    assert np.array_equal(np.concatenate(seen), _whole_circle(n_max, radius))
+
+
+@pytest.mark.parametrize("result", [
+    lambda z: 1.0,
+    lambda z: np.ones(1),
+    lambda z: z[:-1],
+    lambda z: np.ones((2, z.size)),
+], ids=["scalar", "length-1", "short", "two-rows"])
+def test_pgf_result_must_have_one_value_per_point(result):
+    with pytest.raises(ParameterError, match="returned shape .* on a block of 16384 points"):
+        extract_pmf(result, 50)
