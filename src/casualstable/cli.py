@@ -6,7 +6,7 @@ seeds and machine-readable output:
     check-stability   discrete or casual stability residuals over an n-range
     check-pgf         coefficient nonnegativity of thinning p.g.f.s
     citations         field simulation summaries, optional TV cross-check
-                      (exit 1 when the distance exceeds its sampling bound)
+                      (``samplers._tv_check``; exit 1 above its bound)
     converge          condition (b) values and transform-domain distances
 
 Output is CSV with a fixed header per command (``--json`` switches to
@@ -27,8 +27,6 @@ import json
 import math
 import sys
 import warnings
-
-import numpy as np
 
 from .citations import FieldSim, field_totals, simulate_field
 from .convergence import condition_b, convergence_curve, matched_exponential
@@ -53,7 +51,7 @@ from .families import (
     SvhStable,
     TemperedStable,
 )
-from .samplers import Seed
+from .samplers import TV_TAIL_PROBABILITY, Seed, _tv_check
 from .stability import (
     casual_stability_residual,
     discrete_stability_residual,
@@ -62,10 +60,6 @@ from .stability import (
 
 DEFAULT_STABILITY_TOL = 1e-10
 DEFAULT_COEFF_TOL = 1e-8
-# largest admissible certified error of the TV distance, 0.5 (atoms + 1) tol_neg
-TV_CERTIFICATE_TOL = 0.01
-# chance that a correct sampler's TV distance exceeds the bound it is judged by
-TV_TAIL_PROBABILITY = 1e-9
 _USAGE_ERRORS = (ParameterError, UnsupportedError, TableError, InsufficientDataError, argparse.ArgumentError)
 _CHECK_ERRORS = (PrecisionError, IterationCapError)
 
@@ -243,20 +237,6 @@ def cmd_check_pgf(args):
     return header, rows, failure
 
 
-def _tv_bound(table, n_fields: int) -> float:
-    """TV distance that a correct sampler exceeds with probability below ``TV_TAIL_PROBABILITY``.
-
-    E[TV] <= 0.5 sum sqrt(p_k (1 - p_k)/N) (Jensen), and one field moves
-    TV by at most 1/N, so by McDiarmid it exceeds its mean by
-    sqrt(log(1/delta)/(2N)) with probability below delta; each mass may
-    be off by tol_neg, so the table's summed certificate is added.
-    """
-    masses = np.clip(table.masses, 0.0, 1.0)
-    mean = 0.5 * float(np.sqrt(masses * (1.0 - masses) / n_fields).sum())
-    deviation = math.sqrt(math.log(1.0 / TV_TAIL_PROBABILITY) / (2.0 * n_fields))
-    return mean + deviation + table.tol_neg * masses.size
-
-
 def cmd_citations(args):
     header = [
         "record",
@@ -296,15 +276,9 @@ def cmd_citations(args):
             }
         )
     if args.tv_check:
-        atoms = 100 if args.tv_atoms is None else args.tv_atoms
         fields = 100_000 if args.tv_fields is None else args.tv_fields
-        # each of the atoms + 1 masses is certified to within tol_neg
-        table = extract_pmf(family, atoms, tol=2.0 * TV_CERTIFICATE_TOL / (atoms + 1))
         totals = field_totals(FieldSim(family, Seed(args.seed, args.stream + args.replicates)), fields)
-        counts = np.bincount(totals[totals <= atoms].astype(np.int64), minlength=atoms + 1)
-        empirical = counts / len(totals)
-        tv = 0.5 * float(np.abs(empirical - table.masses).sum())
-        bound = _tv_bound(table, fields)
+        tv, bound = _tv_check(family, 100 if args.tv_atoms is None else args.tv_atoms, totals)
         rows.append({"record": "tv_check", "tv_distance": tv})
         if tv > bound:
             failure = (

@@ -148,18 +148,20 @@ def extract_pmf(pgf, n_max: int, radius: float = DEFAULT_RADIUS, *, tol: float |
 
     ``pgf`` is called once per block of the circle (module docstring)
     and must return one value per point of its block.  ``n_max`` may be
-    at most 2^23.  ``tol`` is an optional precision request: when given,
-    a ``PrecisionError`` is raised if the certified bound exceeds it,
-    naming the larger part: rounding shrinks as the radius rises or
-    n_max falls, aliasing as the radius falls or n_max rises.  Without a
-    request the table is returned with the bound recorded in
-    ``tol_neg``.
+    at most 2^23, with ``radius ** n_max`` a normal float.  ``tol`` is an
+    optional precision request: when given, a ``PrecisionError`` is
+    raised if the certified bound exceeds it, naming the larger part:
+    rounding shrinks as the radius rises or n_max falls, aliasing as the
+    radius falls or n_max rises.  Without a request the table is
+    returned with the bound recorded in ``tol_neg``.
     """
     n_max = check_n(n_max, "n_max")
     if not 0.0 < radius < 1.0:
         raise ParameterError("radius must lie in (0, 1)")
     f = _as_pgf_callable(pgf)
     n_points = fft_points(n_max)
+    if radius ** n_max < np.finfo(float).tiny:  # 0 or subnormal: the bounds and 1/r^k are meaningless
+        raise ParameterError(f"radius ** n_max = {radius} ** {n_max} underflows; raise the radius or lower n_max")
     values = np.empty(n_points, dtype=complex)
     blocks = n_points // _BLOCK_POINTS
     for z, out in zip(np.array_split(_circle(n_points, radius), blocks), np.array_split(values, blocks)):

@@ -30,7 +30,7 @@ from .errors import (
     TableError,
     UnsupportedError,
 )
-from .extraction import PmfTable
+from .extraction import PmfTable, extract_pmf
 from .families import AuthorCitations, CompoundPoisson, Sibuya, TemperedStable, check_n
 
 __all__ = [
@@ -49,6 +49,10 @@ INT_CAP = 2 ** 61
 FLOAT_CAP = float(np.finfo(np.float64).max)
 _MAX_TABLE_DEFICIT = 1e-6
 _BETA_CHUNK = 16384  # exponential pairs per pass of _beta: 256 KiB, cache-resident
+# largest 0.5 (atoms + 1) tol_neg, the certified TV error of _tv_check's atoms and of its tail
+TV_CERTIFICATE_TOL = 0.01
+# chance that a correct sampler's TV distance exceeds the bound it is judged by
+TV_TAIL_PROBABILITY = 1e-9
 
 
 @dataclass(frozen=True)
@@ -238,6 +242,26 @@ def ex1_rvs(family: CompoundPoisson, rng: np.random.Generator, size: int) -> np.
 
 
 svh_rvs = ex1_rvs
+
+
+def _tv_check(family: CompoundPoisson, atoms: int, draws: np.ndarray) -> tuple[float, float]:
+    """TV distance of ``draws`` from the family's law, and the bound a correct sampler keeps.
+
+    Both laws are collapsed onto the cells 0, ..., atoms and > atoms, the
+    last holding the table's ``mass_deficit``.  A correct sampler exceeds
+    the bound with probability below ``TV_TAIL_PROBABILITY``: E[TV] <= 0.5
+    sum sqrt(p_k (1 - p_k)/N) (Jensen), and one draw moves TV by at most
+    1/N, so by McDiarmid TV exceeds its mean by sqrt(log(1/delta)/(2N))
+    with probability below delta; each mass may be off by tol_neg and the
+    deficit by (atoms + 1) tol_neg, so (atoms + 1) tol_neg is added.
+    """
+    table = extract_pmf(family, atoms, tol=2.0 * TV_CERTIFICATE_TOL / (atoms + 1))
+    shares = np.bincount(np.minimum(draws, atoms + 1).astype(np.int64, copy=False), minlength=atoms + 2) / len(draws)
+    cells = np.append(table.masses, table.mass_deficit)
+    tv = 0.5 * float(np.abs(shares - cells).sum())
+    mean = 0.5 * float(np.sqrt(np.clip(cells * (1.0 - cells), 0.0, None) / len(draws)).sum())  # 0 off [0, 1]
+    deviation = math.sqrt(math.log(1.0 / TV_TAIL_PROBABILITY) / (2.0 * len(draws)))
+    return tv, float(mean + deviation + table.tol_neg * table.masses.size)
 
 
 def inverse_gaussian_rvs(family: TemperedStable, rng: np.random.Generator, size: int) -> np.ndarray:

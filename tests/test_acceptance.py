@@ -34,8 +34,8 @@ from casualstable import (
 )
 from casualstable.cli import emit
 from casualstable.convergence import condition_b, convergence_curve, matched_exponential
-from casualstable.extraction import extract_pmf, validate_pgf
-from casualstable.samplers import inverse_gaussian_rvs
+from casualstable.extraction import validate_pgf
+from casualstable.samplers import _tv_check, inverse_gaussian_rvs
 from casualstable.stability import (
     casual_stability_residual,
     commutativity_residual,
@@ -176,9 +176,7 @@ def test_criterion_05_commutativity(capsys):
 
 def run_criterion6_pipeline():
     totals = field_totals(FieldSim(FieldCitations(1.0, 0.5, 0.5), Seed(42, 0)), 10 ** 6)
-    table = extract_pmf(FieldCitations(1.0, 0.5, 0.5), 100)
-    counts = np.bincount(totals[totals <= 100], minlength=101)
-    tv = 0.5 * float(np.abs(counts / len(totals) - table.masses).sum())
+    tv, tv_bound = _tv_check(FieldCitations(1.0, 0.5, 0.5), 100, totals)
     mode = empirical_mode(totals)
     authors = author_rvs(AuthorCitations(0.5, 0.5), make_rng(Seed(42, 1)), 10 ** 6)
     hill = tail_exponent(authors)
@@ -188,6 +186,7 @@ def run_criterion6_pipeline():
     ratio_big, ratio_blocks = mean_median_growth(big)
     return {
         "tv": tv,
+        "tv_bound": tv_bound,
         "mode": float(mode),
         "hill": hill,
         "ratio_1e6": ratio_small,
@@ -220,6 +219,7 @@ def test_criterion_06_citation_model(capsys):
     elapsed = time.monotonic() - t0
     checks = (
         stats["tv"] < 8e-3
+        and stats["tv"] <= stats["tv_bound"]
         and stats["mode"] == 0.0
         and 0.4 <= stats["hill"] <= 0.6
         and stats["ratio_1e6"] > 5.0
@@ -228,12 +228,13 @@ def test_criterion_06_citation_model(capsys):
     passed = checks and elapsed < 60.0
     report(
         capsys, 6, passed,
-        f"citation model: tv={stats['tv']:.5f}, mode={stats['mode']:.0f}, "
+        f"citation model: tv={stats['tv']:.5f} (bound {stats['tv_bound']:.5f}), mode={stats['mode']:.0f}, "
         f"hill={stats['hill']:.3f}, mean/median {stats['ratio_1e6']:.3g} at 1e6, "
         f"{stats['ratio_1e7']:.3g} at 1e7 against a block median {stats['ratio_blocks']:.3g} at 1e5 "
         f"({elapsed:.2f}s)",
     )
     assert stats["tv"] < 8e-3
+    assert stats["tv"] <= stats["tv_bound"]
     assert stats["mode"] == 0.0
     assert 0.4 <= stats["hill"] <= 0.6
     assert stats["ratio_1e6"] > 5.0

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,7 @@ from casualstable import (
 )
 from casualstable.cli import fmt, main, parse_float_list, parse_int_range
 from casualstable.errors import ParameterError
+from casualstable.samplers import _tv_check
 
 
 def run(argv, capsys):
@@ -429,6 +431,19 @@ def test_huge_table_depth_exits_two_before_allocating(argv, capsys):
     assert err.startswith("error: n_max must be at most 2^23")
 
 
+def test_table_depth_whose_radius_power_underflows_exits_two(capsys):
+    # 0.9^10001 underflows: refused by name, with no RuntimeWarning
+    argv = ["check-pgf", "--thinning", "bernoulli", "--p", "0.5", "--n-max", "10001"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(argv, capsys)
+    assert (code, out, caught) == (2, "", [])
+    assert err == "error: radius ** n_max = 0.9 ** 10001 underflows; raise the radius or lower n_max\n"
+    # negative control: the same depth on a radius near 1 is extracted
+    code, out, err = run(argv + ["--radius", "0.999"], capsys)
+    assert (code, err) == (0, "")
+
+
 # ---------------------------------------------------------------------------
 # citations
 # ---------------------------------------------------------------------------
@@ -548,24 +563,28 @@ TV_POWER_ARGV = ["citations", "--lambda", "1", "--p", "0.5", "--q", "0.5", "--se
 
 def test_citations_tv_check_fails_a_distance_above_its_bound(monkeypatch, capsys):
     # negative control: field totals drawn at q = 0.55 against the q = 0.5
-    # table.  At lam = 1, 2.5e5 fields and 200 atoms the bound is 0.0137;
-    # over seeds 1-5 the true law reads TV 0.005-0.007, q = 0.55 and
-    # q = 0.45 read 0.015-0.018 and fail, while q = 0.52, p = 0.52 and
-    # lam = 1.02 read 0.008-0.013 and pass: the check sees about a 10%
-    # parameter error at this size
+    # table.  At lam = 1, 2.5e5 fields and 200 atoms the bound is 0.0140;
+    # over seeds 1-5 the true law reads TV 0.006-0.007, q = 0.55, q = 0.45
+    # and p = 0.52 read 0.015-0.020 and fail, while q = 0.52 and
+    # lam = 1.02 read 0.008-0.012 and pass: the check sees about a 10%
+    # parameter error at this size, and less in p, which moves the tail cell
+    family = FieldCitations(1.0, 0.5, 0.5)
+    seed = Seed(3, 1)  # --seed 3, --stream 0 plus one replicate
+    # one path: the row prints _tv_check's distance and a failure its bound
+    tv, bound = _tv_check(family, 200, field_totals(FieldSim(family, seed), 250_000))
+    wrong_tv, wrong_bound = _tv_check(family, 200, _wrong_q_totals(FieldSim(family, seed), 250_000))
+    assert wrong_bound == bound
     code, out, err = run(TV_POWER_ARGV, capsys)
     assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "tv_check" + "," * 9 + fmt(tv)
 
-    def wrong_q(cfg, n_fields):
-        family = FieldCitations(cfg.family.lam, cfg.family.p, 0.55)
-        return field_totals(FieldSim(family, cfg.seed), n_fields)
-
-    monkeypatch.setattr(cli, "field_totals", wrong_q)
+    monkeypatch.setattr(cli, "field_totals", _wrong_q_totals)
     code, wrong_out, err = run(TV_POWER_ARGV, capsys)
     assert code == 1
     assert wrong_out.splitlines()[:-1] == out.splitlines()[:-1]  # the rows are printed all the same
-    tv = float(wrong_out.splitlines()[-1].split(",")[-1])
-    assert err.startswith(f"tv check failed: tv_distance {fmt(tv)} > bound 0.0137")
+    assert wrong_out.splitlines()[-1] == "tv_check" + "," * 9 + fmt(wrong_tv)
+    assert err.startswith(f"tv check failed: tv_distance {fmt(wrong_tv)} > bound {fmt(bound)} ")
+    assert fmt(bound).startswith("0.01395")
 
 
 def test_citations_help_states_the_value_cap(capsys):

@@ -231,6 +231,7 @@ def test_precision_error_names_the_part_that_dominates(n_max, part, advice, bett
 
 @pytest.mark.parametrize("n_max", [2 ** 62, 10 ** 18, 10 ** 11])
 def test_huge_n_max_is_refused_by_name(n_max):
+    # 0.9^n_max underflows too: the cap is checked first, so its message stays
     for call in (fft_points, lambda n: extract_pmf(Sibuya(0.5), n), lambda n: validate_pgf(Sibuya(0.5), n)):
         with pytest.raises(ParameterError, match=f"n_max must be at most 2\\^23 = 8388608, not {n_max}"):
             call(n_max)
@@ -326,3 +327,16 @@ def test_pgf_sees_read_only_blocks_covering_the_circle(n_max, radius):
 def test_pgf_result_must_have_one_value_per_point(result):
     with pytest.raises(ParameterError, match="returned shape .* on a block of 16384 points"):
         extract_pmf(result, 50)
+
+
+@pytest.mark.parametrize("n_max", [6724, 10_001], ids=["subnormal", "zero"])
+def test_radius_power_that_underflows_is_refused_before_evaluation(n_max):
+    # 0.9^6724 is subnormal and 0.9^10001 is 0: the bound and the 1/r^k
+    # scaling would be meaningless, so nothing is evaluated
+    calls = []
+    with pytest.raises(ParameterError, match=rf"radius \*\* n_max = 0.9 \*\* {n_max} underflows"):
+        extract_pmf(lambda z: calls.append(z) or Sibuya(0.5).pgf(z), n_max)
+    assert calls == []
+    # negative control: the deepest normal power, 0.9^6723, and a radius near 1
+    extract_pmf(Sibuya(0.5), 6723)
+    extract_pmf(Sibuya(0.5), n_max, 0.999)

@@ -36,7 +36,7 @@ from casualstable import (
     thin_general,
 )
 from casualstable import samplers
-from casualstable.samplers import _beta, _cap_tail, _segment_sums, author_citations_rvs
+from casualstable.samplers import _beta, _cap_tail, _segment_sums, _tv_check, author_citations_rvs
 from reference import geometric_rvs, sample_sibuya
 
 KS_CRIT = 1.9495  # scaled two-sample KS at the 1e-3 level
@@ -428,13 +428,42 @@ def test_svh_is_example1_at_kappa_zero(lam, a, seed, stream):
 
 
 def test_svh_sampler_matches_transform():
+    # 100 atoms: at 60 the table's summed certificate 61 x 1.3e-3 is refused
     rng = make_rng(Seed(12, 0))
     x = svh_rvs(SvhStable(1.0, 0.5), rng, 200_000)
-    table = extract_pmf(SvhStable(1.0, 0.5), 60)
-    counts = np.bincount(x[x <= 60], minlength=61) / len(x)
-    tv = 0.5 * np.abs(counts - table.masses).sum()
+    tv, bound = _tv_check(SvhStable(1.0, 0.5), 100, x)  # 0.0046 against 0.0152
     assert tv < 6e-3
+    assert tv <= bound
 
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_ex1_sampler_matches_transform(m):
+    # 0.0040 (m = 1) and 0.0048 (m = 2) against bounds of 0.0121 and 0.0113
+    family = Example1(1.0, 0.7, 0.3, m)
+    tv, bound = _tv_check(family, 200, ex1_rvs(family, make_rng(Seed(16, m)), 250_000))
+    assert tv <= bound
+
+
+# each wrong law is at least twice the bound from the right one in
+# table TV: kappa 0.40 against 0.3 reads 0.035 and alpha 0.66 against
+# 0.6 reads 0.036 (kappa 0.33, at 0.010, and 0.36, at 0.021, are not);
+# the draws read 0.036 and 0.038 against bounds of 0.0113 and 0.0123
+@pytest.mark.parametrize("family, drawn", [
+    (Example1(1.0, 0.7, 0.3, 2), Example1(1.0, 0.7, 0.4, 2)),
+    (SvhStable(1.0, 0.6), SvhStable(1.0, 0.66)),
+], ids=["ex1-kappa", "svh-alpha"])
+def test_tv_check_fails_draws_of_a_wrong_law(family, drawn):
+    tv, bound = _tv_check(family, 200, ex1_rvs(drawn, make_rng(Seed(17, 0)), 250_000))
+    assert tv > bound
+
+
+@pytest.mark.parametrize("tail", [np.int64(101), 2.0 ** 70], ids=["int64", "float64-past-2^61"])
+def test_tv_check_counts_draws_past_the_table_as_one_cell(tail):
+    # every draw in the tail cell: the distance is the table's mass on
+    # atoms 0..100, not half of it
+    family = FieldCitations(1.0, 0.5, 0.5)
+    tv, _ = _tv_check(family, 100, np.full(1000, tail))
+    assert tv == pytest.approx(1.0 - extract_pmf(family, 100).mass_deficit, abs=1e-12)
 
 def test_ex1_sampler_mean_and_lattice():
     # gamma = 1, m = 1: the p.g.f. exp(-lam W) has mean lam/(1 - kappa)
