@@ -50,6 +50,8 @@ from .families import (
     LaplaceFamily,
     SvhStable,
     TemperedStable,
+    _Interval,
+    check_n,
 )
 from .samplers import TV_TAIL_PROBABILITY, Seed, _tv_check
 from .stability import (
@@ -60,6 +62,7 @@ from .stability import (
 
 DEFAULT_STABILITY_TOL = 1e-10
 DEFAULT_COEFF_TOL = 1e-8
+_TOL = _Interval(0, math.inf, "[)")
 _USAGE_ERRORS = (ParameterError, UnsupportedError, TableError, InsufficientDataError, argparse.ArgumentError)
 _CHECK_ERRORS = (PrecisionError, IterationCapError)
 
@@ -180,15 +183,10 @@ def _families_from_args(args):
     return family, pairs[0][0]
 
 
-def _check_tol(tol: float) -> None:
-    if not 0.0 <= tol < math.inf:  # a nan fails too
-        raise ParameterError(f"--tol must be finite and nonnegative, not {fmt(tol)}")
-
-
 # each cmd_ returns (header, rows, failure): failure is the one stderr line
 # of a failed check, or None; main writes the rows and picks the exit code
 def cmd_check_stability(args):
-    _check_tol(args.tol)
+    _TOL.check("--tol", args.tol)
     family, thinning = _families_from_args(args)
     ns = parse_int_range(args.n)
     if thinning is None:
@@ -210,7 +208,7 @@ def cmd_check_stability(args):
 
 
 def cmd_check_pgf(args):
-    _check_tol(args.tol)
+    _TOL.check("--tol", args.tol)
     thinning = _build(args, args.thinning, _THINNINGS)
     header = ["p", "min_coeff", "argmin_k", "tol_neg", "norm_defect"]
     rows = []
@@ -250,13 +248,12 @@ def cmd_citations(args):
         "top_share",
         "tv_distance",
     ]
-    if args.replicates < 1:
-        raise ParameterError(f"--replicates must be a positive integer, not {args.replicates}")
+    check_n(args.replicates, "--replicates")
     for flag, value in (("--tv-atoms", args.tv_atoms), ("--tv-fields", args.tv_fields)):
-        if value is not None and not args.tv_check:
-            raise ParameterError(f"{flag} needs --tv-check")
-        if value is not None and value < 1:
-            raise ParameterError(f"{flag} must be a positive integer, not {value}")
+        if value is not None:
+            if not args.tv_check:
+                raise ParameterError(f"{flag} needs --tv-check")
+            check_n(value, flag)
     family = FieldCitations(args.lam, args.p, args.q)
     rows = []
     failure = None

@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 
 from .errors import ParameterError
-from .families import Gamma, LaplaceFamily, check_kind, check_n
+from .families import _POSITIVE, Gamma, LaplaceFamily, check_kind, check_n
 
 __all__ = [
     "default_conv_grid",
@@ -44,20 +44,6 @@ CONV_GRID_DECADES = (-4.0, 4.0)
 def default_conv_grid() -> np.ndarray:
     """Log-spaced grid on [1e-4, 1e4] used for the sup-over-s proxies."""
     return np.logspace(CONV_GRID_DECADES[0], CONV_GRID_DECADES[1], CONV_GRID_POINTS)
-
-
-def _check_grid(s_grid) -> np.ndarray:
-    if s_grid is None:
-        return default_conv_grid()
-    s = np.asarray(s_grid, dtype=float)
-    if not (s.size and np.min(s) > 0 and np.max(s) < np.inf):  # a nan fails too
-        raise ParameterError("s grid must be nonempty with positive finite entries")
-    return s
-
-
-def _check_a(a: float) -> None:
-    if not 0 < a < np.inf:  # a nan fails too
-        raise ParameterError(f"a must be positive and finite, not {a}")
 
 
 def matched_exponential(family: Gamma):
@@ -86,8 +72,8 @@ def normalized_sum_transform(h, family, n: int, s) -> np.ndarray:
 def condition_a(h, family, a: float, s_grid=None) -> float:
     """Grid sup of |h(s) - L(s)| / s^a (condition (a) of the theorem)."""
     check_kind(family, LaplaceFamily, "Laplace")
-    _check_a(a)
-    s = _check_grid(s_grid)
+    _POSITIVE.check("a", a)
+    s = _POSITIVE.grid("s grid", s_grid, default_conv_grid)
     return float(np.max(np.abs(np.asarray(h(s)) - family.laplace(s)) / s ** a))
 
 
@@ -103,8 +89,8 @@ def g_inverse(family, n: int, s) -> np.ndarray:
     check_kind(family, LaplaceFamily, "Laplace")
     check_n(n)
     s = np.asarray(s, dtype=float)
-    if s.size and not np.min(s) > 0:  # a nan fails too
-        raise ParameterError("s must be positive")
+    if s.size:
+        _POSITIVE.check("s", np.min(s))
     with np.errstate(over="ignore"):
         if isinstance(family, Gamma):
             return np.expm1(n * np.log1p(family.b * s)) / family.b
@@ -115,8 +101,8 @@ def g_inverse(family, n: int, s) -> np.ndarray:
 def condition_b(family, a: float, n_list, s_grid=None) -> list[float]:
     """Grid sup of n s^a / g_n^{-1}(e^{-s})^a for each n (condition (b))."""
     check_kind(family, LaplaceFamily, "Laplace")
-    _check_a(a)
-    s = _check_grid(s_grid)
+    _POSITIVE.check("a", a)
+    s = _POSITIVE.grid("s grid", s_grid, default_conv_grid)
     values = []
     for n in n_list:
         inverse = g_inverse(family, n, s)
@@ -133,8 +119,8 @@ def convergence_curve(h, family, n_list, s_grid=None, a: float = 2.0) -> list[tu
     an error, since the grid can only witness divergence, not prove it.
     """
     check_kind(family, LaplaceFamily, "Laplace")
-    _check_a(a)
-    s = _check_grid(s_grid)
+    _POSITIVE.check("a", a)
+    s = _POSITIVE.grid("s grid", s_grid, default_conv_grid)
     ns = []
     for n in n_list:
         ns.append(check_n(n))

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PrecisionError
-from .families import PgfFamily, check_n
+from .families import PgfFamily, _Interval, check_n
 
 __all__ = [
     "ResidualReport",
@@ -68,6 +68,9 @@ _BLOCK_POINTS = 1 << 14
 # circle and its values buffer at once (2 GiB at the cap); a deeper
 # request is refused before anything is allocated
 _MAX_N_MAX = 1 << 23
+_RADIUS = _Interval(0, 1)
+_RESIDUAL = _Interval(0, np.inf, "[]")  # a residual that overflows to inf is reported, not refused
+_DEFICIT = _Interval(0, 1, "[]")
 
 
 @dataclass
@@ -79,8 +82,7 @@ class ResidualReport:
     grid_spec: str
 
     def __post_init__(self) -> None:
-        if not self.sup_residual >= 0:  # a nan fails too
-            raise ParameterError(f"sup_residual must be nonnegative, not {self.sup_residual}")
+        _RESIDUAL.check("sup_residual", self.sup_residual)
 
 
 @dataclass
@@ -103,8 +105,7 @@ class PmfTable:
         self.masses = np.asarray(self.masses, dtype=float)
         if self.ks.shape != self.masses.shape:
             raise ParameterError("ks and masses must have identical shapes")
-        if not 0.0 <= self.mass_deficit <= 1.0:
-            raise ParameterError("mass_deficit must lie in [0, 1]")
+        _DEFICIT.check("mass_deficit", self.mass_deficit)
 
     @property
     def atoms(self) -> list[tuple[int, float]]:
@@ -156,8 +157,7 @@ def extract_pmf(pgf, n_max: int, radius: float = DEFAULT_RADIUS, *, tol: float |
     returned with the bound recorded in ``tol_neg``.
     """
     n_max = check_n(n_max, "n_max")
-    if not 0.0 < radius < 1.0:
-        raise ParameterError("radius must lie in (0, 1)")
+    _RADIUS.check("radius", radius)
     f = _as_pgf_callable(pgf)
     n_points = fft_points(n_max)
     if radius ** n_max < np.finfo(float).tiny:  # 0 or subnormal: the bounds and 1/r^k are meaningless

@@ -33,6 +33,9 @@ Parameter domains
     ``__post_init__`` coerces every field by its annotated type (a finite
     float, or an integer >= 1) and checks it; only the cross-field rules
     are code.  ``check_p`` checks p against the thinning's ``p_domain()``.
+    The other modules check their arguments (grids, radius, residuals,
+    tolerances, seeds) against named intervals too, and counts with
+    ``check_n``; each refusal names the argument and its value.
 
 Numerical form
     The discrete stability identity P(z) = P(Q_p(z))^n is tightest near
@@ -99,7 +102,7 @@ def check_n(n: int, name: str = "n", lo: int = 1) -> int:
     except TypeError:  # not a number, such as the text '3'
         count = False
     if not count:  # the message is formatted only on failure
-        raise ParameterError(f"{name} must be an integer >= {lo}")
+        raise ParameterError(f"{name} must be an integer >= {lo}, not {n}")
     return int(n)
 
 
@@ -111,7 +114,7 @@ def check_kind(obj, kind: type, noun: str) -> None:
 
 @dataclass(frozen=True)
 class _Interval:
-    """A parameter domain: lo to hi, ``ends`` the brackets ("(]": lo open, hi closed), ``reason`` closing the message."""
+    """A parameter domain: lo to hi, ``ends`` the brackets ("(]": lo open, hi closed), ``reason`` read after them."""
 
     lo: float
     hi: float
@@ -122,7 +125,21 @@ class _Interval:
         # inside, or at a closed end; a nan is neither
         if not (self.lo < value < self.hi or value == self.lo and self.ends[0] == "["
                 or value == self.hi and self.ends[1] == "]"):
-            raise ParameterError(f"{name} must lie in {self.ends[0]}{self.lo}, {self.hi}{self.ends[1]}{self.reason}")
+            # str, so that a numpy scalar reads as a plain number
+            raise ParameterError(
+                f"{name} must lie in {self.ends[0]}{self.lo}, {self.hi}{self.ends[1]}{self.reason}, not {value!s}"
+            )
+
+    def grid(self, name: str, points, default) -> np.ndarray:
+        """``points`` as a float array, or ``default()`` when None; refused when empty or when an end lies outside."""
+        if points is None:
+            return default()
+        points = np.asarray(points, dtype=float)
+        if points.size == 0:
+            raise ParameterError(f"{name} must be nonempty")
+        for end in (points.min(), points.max()):  # a nan lies in no interval
+            self.check(f"{name} point", end)
+        return points
 
 
 _POSITIVE = _Interval(0, math.inf)
@@ -131,6 +148,7 @@ _EXPONENT = _Interval(0, 1, "(]", ": the exponent of a discrete stable p.g.f. ca
 _KAPPA = _Interval(0, 1, "[)")  # the Moebius semigroup's kappa
 _CHEBYSHEV_B = _Interval(-1, 1)
 _COUNT = _Interval(1, math.inf, "[)")
+_MOEBIUS_KAPPA_M = _Interval(0, 1, "()", " when m > 1 (admissibility needs p < kappa)")
 
 
 class _Family:
@@ -147,7 +165,7 @@ class _Family:
             else:
                 value = float(value)
                 if not math.isfinite(value):
-                    raise ParameterError(f"{name} must be finite")
+                    raise ParameterError(f"{name} must be finite, not {value}")
             domain.check(name, value)
             object.__setattr__(self, name, value)  # frozen dataclasses
 
@@ -416,8 +434,8 @@ class Example1Thin(ThinningFamily):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.m > 1 and self.kappa == 0:
-            raise ParameterError("kappa must lie in (0, 1) when m > 1 (admissibility needs p < kappa)")
+        if self.m > 1:
+            _MOEBIUS_KAPPA_M.check("kappa", self.kappa)
 
     def p_domain(self) -> _Interval:
         if self.m == 1:
@@ -531,8 +549,8 @@ class TemperedStable(LaplaceFamily):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        inv = 1.0 / self.alpha
-        if abs(inv - round(inv)) >= 1e-9:
+        inv = 1.0 / self.alpha  # inf for a subnormal alpha, which round() cannot take
+        if not (math.isfinite(inv) and abs(inv - round(inv)) < 1e-9):
             raise ParameterError("1/alpha must be a positive integer for the normalizer family")
 
     @property

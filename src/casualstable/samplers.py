@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedError,
 )
 from .extraction import PmfTable, extract_pmf
-from .families import AuthorCitations, CompoundPoisson, Sibuya, TemperedStable, check_n
+from .families import AuthorCitations, CompoundPoisson, Sibuya, TemperedStable, _Interval, check_n
 
 __all__ = [
     "Seed",
@@ -53,6 +53,7 @@ _BETA_CHUNK = 16384  # exponential pairs per pass of _beta: 256 KiB, cache-resid
 TV_CERTIFICATE_TOL = 0.01
 # chance that a correct sampler's TV distance exceeds the bound it is judged by
 TV_TAIL_PROBABILITY = 1e-9
+_UINT64 = _Interval(0, 2 ** 64, "[)", ": a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
@@ -64,14 +65,9 @@ class Seed:
 
     def __post_init__(self) -> None:
         for name in ("value", "stream_id"):
-            v = getattr(self, name)
-            try:  # no float round trip, so 2^64 - 1 stays exact; nan and inf fail v % 1 == 0
-                whole = v % 1 == 0 and 0 <= v < 2 ** 64
-            except TypeError:  # not a number
-                whole = False
-            if not whole:
-                raise ParameterError(f"{name} must be a 64-bit unsigned integer")
-            object.__setattr__(self, name, int(v))
+            v = check_n(getattr(self, name), name, 0)  # int(v): no float round trip, so 2^64 - 1 stays exact
+            _UINT64.check(name, v)
+            object.__setattr__(self, name, v)
 
     def with_stream(self, stream_id: int) -> "Seed":
         return Seed(self.value, stream_id)

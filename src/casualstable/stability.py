@@ -39,6 +39,7 @@ Z_GRID_TOP = 1.0 - 1e-6
 S_GRID_POINTS = 200
 S_GRID_DECADES = (-3.0, 3.0)
 _Z_DOMAIN = _Interval(-1, 1, "[]", ", the real points of the closed unit disk")
+_FINITE = _Interval(-np.inf, np.inf)
 
 
 def default_z_grid() -> np.ndarray:
@@ -49,24 +50,6 @@ def default_z_grid() -> np.ndarray:
 def default_s_grid() -> np.ndarray:
     """Log-spaced transform grid on [1e-3, 1e3]."""
     return np.logspace(S_GRID_DECADES[0], S_GRID_DECADES[1], S_GRID_POINTS)
-
-
-def _grid(grid, default, name: str) -> np.ndarray:
-    """The given grid as a float array, or ``default()`` when it is None."""
-    if grid is None:
-        return default()
-    points = np.asarray(grid, dtype=float)
-    if points.size == 0 or not np.isfinite(points).all():
-        raise ParameterError(f"{name} grid must be nonempty and finite")
-    return points
-
-
-def _z_grid(z_grid) -> np.ndarray:
-    """The given z grid (``default_z_grid()`` when None), refused outside [-1, 1]."""
-    z = _grid(z_grid, default_z_grid, "z")
-    for end in (z.min(), z.max()):
-        _Z_DOMAIN.check("z grid point", end)
-    return z
 
 
 def _sup_report(residuals: np.ndarray, grid: np.ndarray, spec: str) -> ResidualReport:
@@ -96,7 +79,7 @@ def discrete_stability_residual(family, thinning, n, p, z_grid=None):
     for n_k, p_k in pairs:  # every pair, before any evaluation
         check_n(n_k)
         thinning.check_p(p_k)
-    z = _z_grid(z_grid)
+    z = _Z_DOMAIN.grid("z grid", z_grid, default_z_grid)
     u = 1.0 - z
     inside, tiny = u > 0.0, np.finfo(float).tiny
     lhs = family.pgf_from_complement(u)
@@ -115,7 +98,7 @@ def casual_stability_residual(family, n: int, s_grid=None) -> ResidualReport:
     """sup_s |L(s) - L(-log g_n(s))^n| over the grid, in log space."""
     check_kind(family, LaplaceFamily, "Laplace")
     check_n(n)
-    s = _grid(s_grid, default_s_grid, "s")
+    s = _FINITE.grid("s grid", s_grid, default_s_grid)
     lhs = np.exp(family.log_laplace(s))
     rhs = np.exp(n * family.log_laplace(family.neg_log_gfun(n, s)))
     return _sup_report(
@@ -129,7 +112,7 @@ def casual_stability_residual(family, n: int, s_grid=None) -> ResidualReport:
 def commutativity_residual(thinning, p1: float, p2: float, z_grid=None) -> ResidualReport:
     """sup_z |Q_p1(Q_p2(z)) - Q_p2(Q_p1(z))|: semigroup commutativity."""
     check_kind(thinning, ThinningFamily, "thinning")
-    z = _z_grid(z_grid)
+    z = _Z_DOMAIN.grid("z grid", z_grid, default_z_grid)
     u = 1.0 - z
     forward = thinning.complement_map(p1, thinning.complement_map(p2, u))
     backward = thinning.complement_map(p2, thinning.complement_map(p1, u))
@@ -150,7 +133,7 @@ def compose_thinning(thinning, p1: float, p2: float, z_grid=None) -> tuple[float
     shows up as a residual above tolerance rather than an error.
     """
     check_kind(thinning, ThinningFamily, "thinning")
-    z = _z_grid(z_grid)
+    z = _Z_DOMAIN.grid("z grid", z_grid, default_z_grid)
     u = 1.0 - z
     target = thinning.complement_map(p1, thinning.complement_map(p2, u))
     base = thinning.coordinate(u)

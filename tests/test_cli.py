@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, byte-identical reruns, CSV/JSON
 schema, sweep parsing, and config merging."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,20 +15,25 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from casualstable import (
+    Bernoulli,
     Example1,
     Example2,
     FieldCitations,
     FieldSim,
+    Gamma,
     PmfTable,
     Seed,
     SvhStable,
     cli,
     default_z_grid,
+    extraction,
     field_totals,
+    samplers,
     simulate_field,
 )
 from casualstable.cli import fmt, main, parse_float_list, parse_int_range
 from casualstable.errors import ParameterError
+from casualstable.families import _COUNT, _POSITIVE, _Interval
 from casualstable.samplers import _tv_check
 
 
@@ -206,8 +212,8 @@ def test_removed_flags_are_usage_errors(flag, capsys):
         (["check-stability", "--family", "gamma", "--n", "2..3", "--tol=-1"], "--tol"),
         (["check-pgf", "--thinning", "bernoulli", "--n-max", "20", "--tol", "nan"], "--tol"),
         (["check-pgf", "--thinning", "bernoulli", "--n-max", "20", "--tol=-1"], "--tol"),
-        (["converge", "--n", "2,4", "--a", "nan"], "a must be positive and finite"),
-        (["converge", "--n", "2,4", "--a", "inf"], "a must be positive and finite"),
+        (["converge", "--n", "2,4", "--a", "nan"], "a must lie in (0, inf)"),
+        (["converge", "--n", "2,4", "--a", "inf"], "a must lie in (0, inf)"),
     ],
 )
 def test_bad_tolerance_or_exponent_exits_two_before_any_row(argv, message, capsys):
@@ -375,6 +381,107 @@ def test_int_guard_reports_an_escaping_exception(capsys):
         code, out = guarded_run(["citations", "--replicates", "1"], capsys)
     assert isinstance(code, ZeroDivisionError)
     assert not refused_or_finished(code, out)
+
+
+# ---------------------------------------------------------------------------
+# every numeric flag against the interval that states its domain
+# ---------------------------------------------------------------------------
+
+
+def domain_flags() -> list[tuple[list[str], str, _Interval, str, bool]]:
+    """(base argv, flag, interval, name the refusal gives, integer-typed) for every numeric flag with a domain.
+
+    Each base runs cleanly at every value just inside the interval (n = 1
+    needs no p(n), so the exponents' ends do not underflow it).
+    """
+    flags = []
+    for command, choice_flag, table, size in (
+        ("check-stability", "--family", cli._FAMILIES, ["--n", "1"]),
+        ("check-pgf", "--thinning", cli._THINNINGS, ["--n-max", "20"]),
+    ):
+        for choice, (constructor, defaults) in table.items():
+            for dest, field in zip(defaults, dataclasses.fields(constructor)):
+                base = [command, choice_flag, choice, *size]
+                flags.append((base, cli._flag(dest), constructor.domains[field.name], field.name, field.type == "int"))
+    svh = ["check-stability", "--family", "svh", "--n", "1"]
+    pgf = ["check-pgf", "--thinning", "bernoulli", "--n-max", "20"]
+    field = ["citations", "--lambda", "1", "--replicates", "1"]
+    tv = [*field, "--tv-check", "--tv-fields", "1000", "--tv-atoms", "20"]
+    converge = ["converge", "--n", "2,4"]
+    return flags + [
+        (svh, "--p", Bernoulli().p_domain(), "p", False),
+        (svh, "--tol", cli._TOL, "--tol", False),
+        (svh, "--n", _COUNT, "n", True),
+        (pgf, "--p", Bernoulli().p_domain(), "p", False),
+        (pgf, "--n-max", _COUNT, "n_max", True),
+        (pgf, "--radius", extraction._RADIUS, "radius", False),
+        (pgf, "--tol", cli._TOL, "--tol", False),
+        (field, "--lambda", FieldCitations.domains["lam"], "lam", False),
+        (field, "--p", FieldCitations.domains["p"], "p", False),
+        (field, "--q", FieldCitations.domains["q"], "q", False),
+        (field, "--seed", samplers._UINT64, "value", True),
+        (field, "--stream", samplers._UINT64, "stream_id", True),
+        (field, "--replicates", _COUNT, "--replicates", True),
+        (tv, "--tv-fields", _COUNT, "--tv-fields", True),
+        (tv, "--tv-atoms", _COUNT, "--tv-atoms", True),
+        (converge, "--b", Gamma.domains["b"], "b", False),
+        (converge, "--gamma", Gamma.domains["gamma_shape"], "gamma_shape", False),
+        (converge, "--a", _POSITIVE, "a", False),
+        (converge, "--n", _COUNT, "n", True),
+    ]
+
+
+def end_probes(interval: _Interval, integer: bool) -> list[tuple[float, float]]:
+    """(outside, inside) at each finite end: the nearest float, or integer, on either side of the interval's edge."""
+    def step(x, direction):
+        return x + direction if integer else float(np.nextafter(x, direction * math.inf))
+
+    probes = []
+    for end, closed, outward in ((interval.lo, interval.ends[0] == "[", -1), (interval.hi, interval.ends[1] == "]", 1)):
+        if math.isfinite(end):
+            probes.append((step(end, outward), end) if closed else (end, step(end, -outward)))
+    return probes
+
+
+def domain_cases() -> list:
+    """One case per probe: (argv, refused, name, the value as the refusal prints it)."""
+    cases = []
+    for base, flag, interval, name, integer in domain_flags():
+        kind = int if integer else float
+        probes = [] if integer else [(value, True) for value in (math.nan, math.inf, -math.inf)]
+        for outside, inside in end_probes(interval, integer):
+            probes += [(outside, True), (inside, False)]
+        for value, refused in probes:
+            text = str(kind(value))  # the text argparse reads back to this value
+            cases.append(pytest.param(
+                [*base, f"{flag}={text}"], refused, name, text,
+                id=f"{' '.join(base[:3] if base[1] in CHOICE_FLAG.values() else base[:1])} {flag}={text} "
+                   f"{'refused' if refused else 'accepted'}",
+            ))
+    return cases
+
+
+# values just inside a domain that another, kept rule refuses: argv suffix -> its message
+REFUSED_BY_ANOTHER_RULE = {
+    ("--family", "ts", "--n", "1", "--alpha=5e-324"): "1/alpha must be a positive integer",
+    ("--family", "svh", "--n", "1", "--p=5e-324"): "1 - Q_p(z) underflows at n = 1",
+    ("--thinning", "bernoulli", "--n-max", "20", "--radius=5e-324"): "radius ** n_max = 5e-324 ** 20 underflows",
+}
+
+
+@pytest.mark.parametrize("argv, refused, name, text", domain_cases())
+def test_numeric_flag_is_checked_against_its_interval(argv, refused, name, text, capsys):
+    code, out, err = run(argv, capsys)
+    other_rule = REFUSED_BY_ANOTHER_RULE.get(tuple(argv[1:]))
+    if refused:
+        # one line that names the parameter and ends with the value
+        assert (code, out) == (2, ""), (code, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{name} must " in err and err.endswith(f", not {text}\n"), err
+    elif other_rule is not None:
+        assert (code, out) == (2, "") and other_rule in err, err
+    else:
+        assert code in (0, 1), (code, err)
 
 
 # ---------------------------------------------------------------------------

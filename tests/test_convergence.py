@@ -98,7 +98,7 @@ def test_condition_a_mismatched_mean_diverges_with_the_grid():
 
 def test_condition_a_rejects_nonpositive_exponent():
     family = Gamma(1.0, 2.0)
-    with pytest.raises(ParameterError, match="a must be positive"):
+    with pytest.raises(ParameterError, match=r"a must lie in \(0, inf\)"):
         condition_a(family.laplace, family, 0.0)
 
 
@@ -110,14 +110,14 @@ def test_every_entry_point_refuses_a_bad_exponent(a):
         lambda: condition_b(family, a, [2, 4]),
         lambda: convergence_curve(family.laplace, family, [2], a=a),
     ):
-        with pytest.raises(ParameterError, match="a must be positive and finite"):
+        with pytest.raises(ParameterError, match=r"a must lie in \(0, inf\)"):
             call()
 
 
 @pytest.mark.parametrize("grid", [[], [0.0, 1.0], [float("nan"), 1.0], [1.0, float("inf")]])
 def test_caller_grid_must_be_positive_and_finite(grid):
     family = Gamma(1.0, 2.0)
-    with pytest.raises(ParameterError, match="positive finite entries"):
+    with pytest.raises(ParameterError, match=r"s grid must be nonempty|s grid point must lie in \(0, inf\)"):
         condition_b(family, 2.0, [2], grid)
 
 
@@ -262,7 +262,7 @@ def test_g_inverse_round_trip():
 def test_g_inverse_rejects_bad_input():
     family = Gamma(1.0, 1.0)
     for s in (0.0, float("nan")):
-        with pytest.raises(ParameterError, match="positive"):
+        with pytest.raises(ParameterError, match=r"s must lie in \(0, inf\)"):
             g_inverse(family, 2, np.array([s]))
     with pytest.raises(ParameterError, match="integer >= 1"):
         g_inverse(family, 0, np.array([1.0]))

@@ -132,7 +132,7 @@ def test_pmf_table_validation():
 def test_residual_report_refuses_a_nan_residual():
     assert ResidualReport(0.0, 0.5, "grid").sup_residual == 0.0
     for bad in (-1.0, float("nan")):
-        with pytest.raises(ParameterError, match="sup_residual must be nonnegative"):
+        with pytest.raises(ParameterError, match=r"sup_residual must lie in \[0, inf\]"):
             ResidualReport(bad, 0.5, "grid")
 
 

@@ -468,6 +468,43 @@ def test_thinning_coordinate_linearizes_its_map(thinning, p):
             assert linearity_defect(other.coordinate, thinning, p, p) > 1e-3
 
 
+# each discrete-stable kernel is exp(-lam c(u)^gamma), c the coordinate of a
+# matched thinning and gamma its exponent, though the two are written apart
+STABLE_FAMILIES = [
+    SvhStable(1.3, 0.6),
+    Example1(0.8, 0.7, 0.3, 1),
+    Example1(1.2, 0.5, 0.6, 2),
+    Example1(1.0, 0.6, 0.0, 1),
+    Example2(1.1, 1.5, 0.4),
+    Example2(0.9, 0.8, -0.7),
+    FieldCitations(2.0, 0.5, 0.3),
+]
+# measured: at most 2.5e-15 with numpy's complex power, on both grids
+KERNEL_FROM_COORDINATE_TOL = 32.0 * np.finfo(float).eps
+KERNEL_CIRCLE = 0.9 * np.exp(2j * np.pi * np.arange(1 << 16) / (1 << 16))
+
+
+def kernel_from_coordinate_error(family, thinning, exponent) -> float:
+    """max relative |exp(-lam c(u)^exponent) - P(z)| over the default z grid and the r = 0.9 circle."""
+    worst = 0.0
+    for z in (default_z_grid(), KERNEL_CIRCLE):
+        u = 1.0 - z
+        kernel = family.pgf_from_complement(u)
+        from_coordinate = np.exp(-family.lam * np.power(thinning.coordinate(u), exponent))
+        worst = max(worst, float(np.max(np.abs(from_coordinate - kernel) / np.abs(kernel))))
+    return worst
+
+
+@pytest.mark.parametrize("family", STABLE_FAMILIES, ids=repr)
+def test_stable_kernel_is_exp_of_its_matched_coordinate(family):
+    pairs = family.matched_pairs()
+    assert pairs
+    for thinning, exponent in pairs:
+        assert kernel_from_coordinate_error(family, thinning, exponent) <= KERNEL_FROM_COORDINATE_TOL
+        # negative control: the exponent 1% off
+        assert kernel_from_coordinate_error(family, thinning, 1.01 * exponent) > 1e-3
+
+
 # ---------------------------------------------------------------------------
 # the compound-Poisson kernels, bit for bit against their literal arithmetic
 # ---------------------------------------------------------------------------

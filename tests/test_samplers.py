@@ -66,7 +66,7 @@ def test_seed_validation():
 )
 def test_seed_refuses_a_non_64_bit_unsigned_integer(value, stream_id):
     # int(v) alone would raise ValueError or OverflowError on nan or inf
-    with pytest.raises(ParameterError, match="must be a 64-bit unsigned integer"):
+    with pytest.raises(ParameterError, match="must be an integer >= 0|a 64-bit unsigned integer"):
         Seed(value, stream_id)
 
 
